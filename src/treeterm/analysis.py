@@ -171,21 +171,23 @@ def unify_patterns(p: Pattern, q: Pattern) -> dict[str, Pattern] | None:
     return subst
 
 
-def _freshen_linear(p: Pattern, counter: itertools.count) -> Pattern:
-    """Replace every variable and wildcard occurrence by a distinct fresh variable."""
-    if isinstance(p, (PVar, PWild)):
-        return PVar(f"u{next(counter)}")
-    if isinstance(p, PNode):
-        left = _freshen_linear(p.left, counter)
-        return PNode(left, _freshen_linear(p.right, counter))
-    return p
+def _shapes_agree(p: Pattern, q: Pattern) -> bool:
+    if isinstance(p, (PVar, PWild)) or isinstance(q, (PVar, PWild)):
+        return True
+    if isinstance(p, PNode) and isinstance(q, PNode):
+        return _shapes_agree(p.left, q.left) and _shapes_agree(p.right, q.right)
+    return type(p) is type(q)
 
 
 def pattern_unifiable(p: Pattern, q: Pattern) -> bool:
     """Compatibility of two pattern shapes, reading each variable and wildcard
-    occurrence as independently arbitrary."""
-    counter = itertools.count()
-    return unify_patterns(_freshen_linear(p, counter), _freshen_linear(q, counter)) is not None
+    occurrence as independently arbitrary.
+
+    Read that way both patterns are linear with disjoint variables, so they
+    unify exactly when their constructors agree wherever both have one (the
+    estimated dependency graph of Arts & Giesl, TCS 2000).
+    """
+    return _shapes_agree(p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +376,7 @@ def check_scc(scc: tuple[int, ...], g: DependencyGraph, indices: IndexAssignment
             weak.append(i)
         else:
             return SccCheck(False, tuple(strict), tuple(weak), failing_node=i)
-    cycle = find_cycle(weak, frozenset((a, b) for (a, b) in g.edges if a in scc and b in scc))
+    cycle = find_cycle(weak, g.edges)  # the weak nodes all lie in the component
     if cycle is not None:
         return SccCheck(False, tuple(strict), tuple(weak), cycle=cycle)
     return SccCheck(True, tuple(strict), tuple(weak))
@@ -522,15 +524,16 @@ _PALETTE = ("lightblue", "lightsalmon", "palegreen", "khaki", "plum", "lightgrey
 def to_dot(g: DependencyGraph, verdict: Verdict | None = None) -> str:
     """Render the graph deterministically; byte-identical across runs."""
     lines = ["digraph dependency_pairs {"]
+    if verdict is None:
+        components, strict_nodes = sccs(g), set()
+    else:
+        components = verdict.components
+        strict_nodes = {i for cert in verdict.certificates for i in cert.strict}
     color_of: dict[int, str] = {}
-    nontrivial = [scc for scc in sccs(g) if is_nontrivial(scc, g)]
+    nontrivial = [scc for scc in components if is_nontrivial(scc, g)]
     for rank, scc in enumerate(nontrivial):
         for i in scc:
             color_of[i] = _PALETTE[rank % len(_PALETTE)]
-    strict_nodes = set()
-    if verdict is not None:
-        for cert in verdict.certificates:
-            strict_nodes.update(cert.strict)
     for i, dp in enumerate(g.nodes):
         attrs = [f'label="{dp_label(dp)}"']
         if i in color_of:

@@ -3,7 +3,7 @@
 Exit codes are uniform across commands: 0 for success (termination proved,
 or the requested output produced), 1 when the criterion or the reducer runs
 out of road (inconclusive verdict, spent fuel), 2 for validation and typing
-errors, 3 for unparsable input.
+errors, 3 for unparsable input, 4 when an output file cannot be written.
 """
 from __future__ import annotations
 
@@ -31,157 +31,136 @@ from .syntax import (
     print_rule,
     print_type,
 )
-from .typecheck import validate_system
+from .typecheck import Diagnostic, ValidatedSystem, validate_system
+from .viz import render_graph_png
 
 EXIT_OK = 0
 EXIT_UNKNOWN = 1
 EXIT_INVALID = 2
 EXIT_PARSE = 3
+EXIT_WRITE = 4
 
 
-class _Console:
-    """Stdout stays clean for machine consumption when the JSON report is
-    routed there."""
-
-    def __init__(self, json_to_stdout: bool):
-        self.quiet = json_to_stdout
-
-    def say(self, message: str = "") -> None:
-        if not self.quiet:
-            print(message)
+class _Unwritable(Exception):
+    """An output file could not be written; `main` turns this into EXIT_WRITE."""
 
 
-def _emit_json(dest: str | None, report: dict) -> None:
-    if dest is None:
-        return
-    text = report_to_json(report)
-    if dest == "-":
-        sys.stdout.write(text)
-    else:
-        Path(dest).write_text(text, encoding="utf-8")
-
-
-def _load_text(path: str) -> str | None:
+def _load(path: str, say=print) -> RewriteSystem | ParseError | None:
+    """Read and parse a system file.  An unreadable file is reported on
+    stderr and gives None; a parse error is reported with `say` and returned."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return None
+    try:
+        return parse_system(text)
+    except ParseError as exc:
+        say(f"PARSE ERROR: {path}: {exc}")
+        return exc
 
 
-def _format_indices(indices: tuple[tuple[str, int], ...]) -> str:
-    return ", ".join(f"ι[{sym}]={i}" for sym, i in indices)
+def _validate(path: str, system: RewriteSystem, say=print) -> ValidatedSystem | list[Diagnostic]:
+    """Validate a parsed system, reporting any diagnostics with `say`."""
+    validated = validate_system(system)
+    if isinstance(validated, list):
+        say(f"INVALID: {path}")
+        for diag in validated:
+            say(f"  {diag}")
+    return validated
 
 
-def _print_verdict(console: _Console, path: str, verdict: Verdict, rule_count: int, symbol_count: int) -> None:
+def _write(path: str, data: str | bytes) -> None:
+    """Write one output file; text is written as UTF-8."""
+    try:
+        Path(path).write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+    except OSError as exc:
+        raise _Unwritable(f"cannot write {path}: {exc}") from None
+
+
+def _print_verdict(say, path: str, system: RewriteSystem, verdict: Verdict) -> None:
     graph = verdict.graph
     nontrivial = [c for c in verdict.components if is_nontrivial(c, graph)]
-    console.say(("TERMINATING: " if verdict.terminating else "UNKNOWN: ") + path)
-    console.say(f"  rules: {rule_count}, symbols: {symbol_count}")
-    console.say(f"  dependency pairs: {len(graph.nodes)}, edges: {len(graph.edges)}")
-    console.say(f"  nontrivial SCCs: {len(nontrivial)}")
+    say(("TERMINATING: " if verdict.terminating else "UNKNOWN: ") + path)
+    say(f"  rules: {len(system.rules)}, symbols: {len(list(system.signature))}")
+    say(f"  dependency pairs: {len(graph.nodes)}, edges: {len(graph.edges)}")
+    say(f"  nontrivial SCCs: {len(nontrivial)}")
     for cert in verdict.certificates:
         nodes = "{" + ", ".join(map(str, cert.nodes)) + "}"
-        line = f"  SCC {nodes}: {_format_indices(cert.indices)}; strict: {list(cert.strict)}"
+        indices = ", ".join(f"ι[{sym}]={i}" for sym, i in cert.indices)
+        line = f"  SCC {nodes}: {indices}; strict: {list(cert.strict)}"
         if cert.weak:
             line += f"; weak: {list(cert.weak)}"
-        console.say(line)
+        say(line)
     if verdict.failure is not None:
         f = verdict.failure
         nodes = "{" + ", ".join(map(str, f.scc)) + "}"
-        console.say(f"  failing SCC {nodes} ({f.search_space} assignments tried)")
-        console.say(f"  reason: {f.message}")
+        say(f"  failing SCC {nodes} ({f.search_space} assignments tried)")
+        say(f"  reason: {f.message}")
         if f.cycle:
-            console.say("  residual cycle: " + " -> ".join(map(str, f.cycle)))
+            say("  residual cycle: " + " -> ".join(map(str, f.cycle)))
         for i in f.scc:
-            console.say(f"    node {i}: {dp_label(graph.nodes[i])}")
+            say(f"    node {i}: {dp_label(graph.nodes[i])}")
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    console = _Console(args.json == "-")
+    say = (lambda message: None) if args.json == "-" else print  # stdout carries only the report
     started = time.perf_counter()
-    text = _load_text(args.path)
-    if text is None:
+    system = _load(args.path, say)
+    if system is None:
         return EXIT_PARSE
-    try:
-        system = parse_system(text)
-    except ParseError as exc:
-        console.say(f"PARSE ERROR: {args.path}: {exc}")
-        _emit_json(args.json, build_report(
-            args.path, "parse-error",
-            diagnostics=(parse_error_to_dict(exc),),
-            elapsed=time.perf_counter() - started,
-        ))
-        return EXIT_PARSE
-    validated = validate_system(system)
-    if isinstance(validated, list):
-        console.say(f"INVALID: {args.path}")
-        for diag in validated:
-            console.say(f"  {diag}")
-        _emit_json(args.json, build_report(
-            args.path, "invalid", system=system,
-            diagnostics=tuple(diagnostic_to_dict(d) for d in validated),
-            elapsed=time.perf_counter() - started,
-        ))
-        return EXIT_INVALID
-    verdict = check_criterion(validated)
+    verdict = None
+    if isinstance(system, ParseError):
+        code, outcome, found = EXIT_PARSE, "parse-error", {"diagnostics": (parse_error_to_dict(system),)}
+    elif isinstance(validated := _validate(args.path, system, say), list):
+        code, outcome = EXIT_INVALID, "invalid"
+        found = {"system": system, "diagnostics": tuple(map(diagnostic_to_dict, validated))}
+    else:
+        verdict = check_criterion(validated)
+        code, outcome = (EXIT_OK, "terminating") if verdict.terminating else (EXIT_UNKNOWN, "unknown")
+        found = {"system": system, "validated": validated, "verdict": verdict}
     elapsed = time.perf_counter() - started
-    _print_verdict(console, args.path, verdict, len(system.rules), len(list(system.signature)))
-    if args.dot:
-        Path(args.dot).write_text(to_dot(verdict.graph, verdict), encoding="utf-8")
-        console.say(f"  wrote DOT to {args.dot}")
-    if args.png:
-        from .viz import render_graph_png  # lazy: `import treeterm` stays free of viz
-
-        render_graph_png(verdict, args.png)
-        console.say(f"  wrote PNG to {args.png}")
-    outcome = "terminating" if verdict.terminating else "unknown"
-    _emit_json(args.json, build_report(
-        args.path, outcome, system=system, validated=validated,
-        verdict=verdict, elapsed=elapsed,
-    ))
-    return EXIT_OK if verdict.terminating else EXIT_UNKNOWN
+    if verdict is not None:
+        _print_verdict(say, args.path, system, verdict)
+    # The report goes out before the graph files, so an unwritable picture cannot lose it.
+    if args.json:
+        report = report_to_json(build_report(args.path, outcome, elapsed=elapsed, **found))
+        if args.json == "-":
+            sys.stdout.write(report)
+        else:
+            _write(args.json, report)
+    if verdict is not None and args.dot:
+        _write(args.dot, to_dot(verdict.graph, verdict))
+        say(f"  wrote DOT to {args.dot}")
+    if verdict is not None and args.png:
+        _write(args.png, render_graph_png(verdict))
+        say(f"  wrote PNG to {args.png}")
+    return code
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    console = _Console(False)
-    text = _load_text(args.path)
-    if text is None:
+    system = _load(args.path)
+    if not isinstance(system, RewriteSystem):
         return EXIT_PARSE
-    try:
-        system = parse_system(text)
-    except ParseError as exc:
-        console.say(f"PARSE ERROR: {args.path}: {exc}")
-        return EXIT_PARSE
-    validated = validate_system(system)
+    validated = _validate(args.path, system)
     if isinstance(validated, list):
-        console.say(f"INVALID: {args.path}")
-        for diag in validated:
-            console.say(f"  {diag}")
         return EXIT_INVALID
     verdict = check_criterion(validated)
     dot = to_dot(verdict.graph, verdict)
     if args.dot:
-        Path(args.dot).write_text(dot, encoding="utf-8")
-        console.say(f"wrote DOT to {args.dot} ({len(verdict.graph.nodes)} nodes, {len(verdict.graph.edges)} edges)")
+        _write(args.dot, dot)
+        print(f"wrote DOT to {args.dot} ({len(verdict.graph.nodes)} nodes, {len(verdict.graph.edges)} edges)")
     else:
         sys.stdout.write(dot)
     if args.png:
-        from .viz import render_graph_png  # lazy: `import treeterm` stays free of viz
-
-        render_graph_png(verdict, args.png)
-        console.say(f"wrote PNG to {args.png}")
+        _write(args.png, render_graph_png(verdict))
+        print(f"wrote PNG to {args.png}")
     return EXIT_OK
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
-    text = _load_text(args.path)
-    if text is None:
-        return EXIT_PARSE
-    try:
-        system = parse_system(text)
-    except ParseError as exc:
-        print(f"PARSE ERROR: {args.path}: {exc}")
+    system = _load(args.path)
+    if not isinstance(system, RewriteSystem):
         return EXIT_PARSE
     symbols = frozenset(name for name, _ in system.signature)
     try:
@@ -208,19 +187,11 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def cmd_typecheck(args: argparse.Namespace) -> int:
-    text = _load_text(args.path)
-    if text is None:
+    system = _load(args.path)
+    if not isinstance(system, RewriteSystem):
         return EXIT_PARSE
-    try:
-        system = parse_system(text)
-    except ParseError as exc:
-        print(f"PARSE ERROR: {args.path}: {exc}")
-        return EXIT_PARSE
-    validated = validate_system(system)
+    validated = _validate(args.path, system)
     if isinstance(validated, list):
-        print(f"INVALID: {args.path}")
-        for diag in validated:
-            print(f"  {diag}")
         return EXIT_INVALID
     for vr in validated.rules:
         print(f"rule {vr.index}: {print_rule(vr.rule)}")
@@ -241,8 +212,6 @@ def main(argv: list[str] | None = None) -> int:
 
     p_check = sub.add_parser("check", help="validate a system and run the termination criterion")
     p_check.add_argument("path", help="rewrite system file")
-    p_check.add_argument("--fuel", type=int, default=10000,
-                         help="reduction budget (accepted for symmetry; the criterion itself does not reduce)")
     p_check.add_argument("--json", metavar="PATH",
                          help="write a JSON report to PATH ('-' for stdout, silencing the text output)")
     p_check.add_argument("--dot", metavar="PATH", help="write the dependency graph in DOT format")
@@ -269,7 +238,11 @@ def main(argv: list[str] | None = None) -> int:
     p_tc.set_defaults(func=cmd_typecheck)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Unwritable as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_WRITE
 
 
 def run() -> None:

@@ -276,15 +276,6 @@ def term_free_pattern_vars(t: AnnotatedTerm) -> frozenset[str]:
     return frozenset()
 
 
-def free_vars(x: AnnotatedTerm | RefinementType | Pattern) -> frozenset[str]:
-    """Free identifiers of either kind, respecting both binder forms."""
-    if isinstance(x, (PVar, PLeaf, PNode, PWild, PBottom)):
-        return pattern_vars(x)
-    if isinstance(x, (Base, Arrow, Forall)):
-        return type_free_vars(x)
-    return term_free_term_vars(x) | term_free_pattern_vars(x)
-
-
 # ---------------------------------------------------------------------------
 # Constructor terms (rule left-hand side arguments)
 

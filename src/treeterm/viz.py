@@ -92,8 +92,8 @@ class _Canvas:
                 + chunk(b"IDAT", zlib.compress(raw)) + chunk(b"IEND", b""))
 
 
-def render_graph_png(verdict: Verdict, path: str) -> None:
-    """Draw `verdict.graph` to a PNG file at `path`."""
+def render_graph_png(verdict: Verdict) -> bytes:
+    """Draw `verdict.graph` as the bytes of a PNG file."""
     graph = verdict.graph
     n = len(graph.nodes)
     radius = min(max(4 * _R, n * 4 * _R / (2 * math.pi)), _MAX_RING)
@@ -119,6 +119,4 @@ def render_graph_png(verdict: Verdict, path: str) -> None:
         bold = i in strict
         canvas.ring(x, y, _R, 4 if bold else 1.5, _BLACK if bold else _GREY, fill.get(i, _WHITE))
         canvas.number(x, y, str(i))
-
-    with open(path, "wb") as out:
-        out.write(canvas.png())
+    return canvas.png()

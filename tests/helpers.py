@@ -6,7 +6,7 @@ the acceptance runs are reproducible.
 from __future__ import annotations
 
 import random
-from itertools import permutations, product
+from itertools import count, permutations, product
 
 from treeterm.syntax import (
     App,
@@ -108,6 +108,22 @@ def random_pattern(rng: random.Random, depth: int, vars: tuple[str, ...] = PVAR_
         random_pattern(rng, depth - 1, vars, wild, bottom),
         random_pattern(rng, depth - 1, vars, wild, bottom),
     )
+
+
+def freshen(p: Pattern, prefix: str) -> Pattern:
+    """Reference linearisation: every variable and wildcard occurrence becomes
+    its own variable, named prefix0, prefix1, ... from left to right."""
+    names = count()
+
+    def go(u: Pattern) -> Pattern:
+        if isinstance(u, (PVar, PWild)):
+            return PVar(f"{prefix}{next(names)}")
+        if isinstance(u, PNode):
+            left = go(u.left)
+            return PNode(left, go(u.right))
+        return u
+
+    return go(p)
 
 
 def random_closed_pattern(rng: random.Random, depth: int, wild: bool = True,

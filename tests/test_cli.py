@@ -263,10 +263,40 @@ def test_check_writes_png_and_json(capsys, tmp_path):
     assert json.loads(report.read_text())["outcome"] == "terminating"
 
 
+@pytest.mark.parametrize("argv, name", [
+    pytest.param(["graph", FGIH, "--png"], "x.png", id="graph-png"),
+    pytest.param(["check", FGIH, "--dot"], "d.dot", id="check-dot"),
+    pytest.param(["check", FGIH, "--json"], "r.json", id="check-json"),
+])
+def test_unwritable_output_exits_4(capsys, tmp_path, argv, name):
+    dest = tmp_path / "absent" / name
+    code, _, err = run(capsys, *argv, str(dest))
+    assert code == 4
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: cannot write {dest}: ")
+    assert "Traceback" not in err
+
+
+def test_unwritable_png_keeps_the_json_report(capsys, tmp_path):
+    report = tmp_path / "report.json"
+    code, _, err = run(capsys, "check", FGIH, "--png", str(tmp_path / "absent" / "x.png"), "--json", str(report))
+    assert code == 4
+    assert "error: cannot write" in err
+    assert json.loads(report.read_text())["outcome"] == "terminating"
+
+
 def test_import_does_not_load_the_renderer():
-    probe = "import sys, treeterm; print('treeterm.viz' in sys.modules)"
+    probe = ("import sys, treeterm; "
+             "print([m for m in ('treeterm.viz', 'treeterm.cli', 'treeterm.report', 'argparse') if m in sys.modules])")
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"
+
+
+def test_module_entry_point_runs_without_warnings():
+    result = subprocess.run([sys.executable, "-m", "treeterm.cli", "check", APP], capture_output=True, text=True)
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert result.stdout.startswith(f"TERMINATING: {APP}")
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,7 @@ from conftest import APP_PATH, FGIH_PATH, load
 from helpers import (
     closed_pattern_above,
     closed_patterns,
+    freshen,
     pattern_above,
     pattern_below,
     random_closed_pattern,
@@ -273,6 +274,14 @@ def test_pattern_unifiable_symmetric_and_reflexive(rng):
     q = random_pattern(rng, 3, wild=False)
     assert pattern_unifiable(p, p)
     assert pattern_unifiable(p, q) == pattern_unifiable(q, p)
+
+
+@given(patterns(), patterns())
+@settings(max_examples=300)
+def test_pattern_unifiable_is_unification_of_linearised_patterns(p, q):
+    # the shape check must agree with running the unifier on the patterns
+    # made linear, with the variables of the two sides kept apart
+    assert pattern_unifiable(p, q) == (unify_patterns(freshen(p, "l"), freshen(q, "r")) is not None)
 
 
 # ---------------------------------------------------------------------------
