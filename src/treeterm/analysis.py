@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import itertools
 import string
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .syntax import (
     AnnotatedTerm,
@@ -198,58 +200,85 @@ class DependencyGraph:
     nodes: tuple[DependencyPair, ...]
     edges: frozenset[tuple[int, int]]
 
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """The sorted successors of every node, built on first use."""
+        succ: list[list[int]] = [[] for _ in self.nodes]
+        for a, b in self.edges:
+            succ[a].append(b)
+        return tuple(tuple(sorted(s)) for s in succ)
+
     def successors(self, i: int) -> list[int]:
-        return sorted(j for (a, j) in self.edges if a == i)
+        return list(self.adjacency[i])
 
 
 def build_graph(dps: tuple[DependencyPair, ...]) -> DependencyGraph:
     """Draw an edge when a pair's callee can be the next pair's caller:
-    same symbol, same arity, and componentwise compatible patterns."""
+    same symbol, same arity, and componentwise compatible patterns.
+
+    Callers are bucketed by (symbol, arity), so each pair is only tested
+    against the pairs its callee can start.
+    """
+    callers: dict[tuple[str, int], list[int]] = {}
+    for j, b in enumerate(dps):
+        callers.setdefault((b.lhs_symbol, len(b.lhs_args)), []).append(j)
     edges = set()
     for i, a in enumerate(dps):
-        for j, b in enumerate(dps):
-            if a.rhs_symbol != b.lhs_symbol:
-                continue
-            if len(a.rhs_args) != len(b.lhs_args):
-                continue
-            if all(pattern_unifiable(pa, pb) for pa, pb in zip(a.rhs_args, b.lhs_args)):
+        for j in callers.get((a.rhs_symbol, len(a.rhs_args)), ()):
+            if all(pattern_unifiable(pa, pb) for pa, pb in zip(a.rhs_args, dps[j].lhs_args)):
                 edges.add((i, j))
     return DependencyGraph(dps, frozenset(edges))
 
 
 def sccs(g: DependencyGraph) -> list[tuple[int, ...]]:
-    """Strongly connected components, each sorted, listed by smallest member."""
-    n = len(g.nodes)
-    index_of: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
+    """Strongly connected components, each sorted, listed by smallest member.
+
+    Tarjan's algorithm with an explicit stack of (node, successor iterator)
+    frames, so the depth of the graph is not bounded by Python's recursion.
+    """
+    adjacency = g.adjacency
+    index_of = [-1] * len(g.nodes)
+    low = [0] * len(g.nodes)
+    on_stack = [False] * len(g.nodes)
     stack: list[int] = []
-    counter = itertools.count()
+    frames: list[tuple[int, Iterator[int]]] = []
+    counter = 0
     out: list[tuple[int, ...]] = []
 
-    def strongconnect(v: int) -> None:
-        index_of[v] = low[v] = next(counter)
+    def visit(v: int) -> None:
+        nonlocal counter
+        index_of[v] = low[v] = counter
+        counter += 1
         stack.append(v)
-        on_stack.add(v)
-        for w in g.successors(v):
-            if w not in index_of:
-                strongconnect(w)
-                low[v] = min(low[v], low[w])
-            elif w in on_stack:
-                low[v] = min(low[v], index_of[w])
-        if low[v] == index_of[v]:
-            component = []
-            while True:
-                w = stack.pop()
-                on_stack.discard(w)
-                component.append(w)
-                if w == v:
-                    break
-            out.append(tuple(sorted(component)))
+        on_stack[v] = True
+        frames.append((v, iter(adjacency[v])))
 
-    for v in range(n):
-        if v not in index_of:
-            strongconnect(v)
+    for root in range(len(g.nodes)):
+        if index_of[root] >= 0:
+            continue
+        visit(root)
+        while frames:
+            v, successors = frames[-1]
+            for w in successors:
+                if index_of[w] < 0:
+                    visit(w)
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index_of[w])
+            else:
+                frames.pop()
+                if frames:
+                    parent = frames[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index_of[v]:
+                    component = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        component.append(w)
+                        if w == v:
+                            break
+                    out.append(tuple(sorted(component)))
     return sorted(out, key=lambda c: c[0])
 
 
@@ -318,14 +347,17 @@ def find_cycle(nodes: list[int], edges: frozenset[tuple[int, int]]) -> tuple[int
     allowed = set(nodes)
     color: dict[int, int] = {}
     parent: dict[int, int] = {}
-
-    def successors(v: int) -> list[int]:
-        return sorted(w for (a, w) in edges if a == v and w in allowed)
+    succ: dict[int, list[int]] = {v: [] for v in allowed}
+    for a, w in edges:
+        if a in allowed and w in allowed:
+            succ[a].append(w)
+    for ws in succ.values():
+        ws.sort()
 
     for start in sorted(allowed):
         if color.get(start):
             continue
-        stack = [(start, iter(successors(start)))]
+        stack = [(start, iter(succ[start]))]
         color[start] = 1
         while stack:
             v, it = stack[-1]
@@ -334,7 +366,7 @@ def find_cycle(nodes: list[int], edges: frozenset[tuple[int, int]]) -> tuple[int
                 if color.get(w, 0) == 0:
                     color[w] = 1
                     parent[w] = v
-                    stack.append((w, iter(successors(w))))
+                    stack.append((w, iter(succ[w])))
                     advanced = True
                     break
                 if color.get(w) == 1:
@@ -376,7 +408,9 @@ def check_scc(scc: tuple[int, ...], g: DependencyGraph, indices: IndexAssignment
             weak.append(i)
         else:
             return SccCheck(False, tuple(strict), tuple(weak), failing_node=i)
-    cycle = find_cycle(weak, g.edges)  # the weak nodes all lie in the component
+    # Only the weak nodes' own edges: scanning all of g.edges here would cost
+    # O(E) per component and candidate assignment.
+    cycle = find_cycle(weak, frozenset((v, w) for v in weak for w in g.adjacency[v]))
     if cycle is not None:
         return SccCheck(False, tuple(strict), tuple(weak), cycle=cycle)
     return SccCheck(True, tuple(strict), tuple(weak))

@@ -3,7 +3,8 @@
 Exit codes are uniform across commands: 0 for success (termination proved,
 or the requested output produced), 1 when the criterion or the reducer runs
 out of road (inconclusive verdict, spent fuel), 2 for validation and typing
-errors, 3 for unparsable input, 4 when an output file cannot be written.
+errors, 3 for unparsable input, 4 when an output file cannot be written,
+64 for a malformed command line (the sysexits EX_USAGE).
 """
 from __future__ import annotations
 
@@ -39,10 +40,29 @@ EXIT_UNKNOWN = 1
 EXIT_INVALID = 2
 EXIT_PARSE = 3
 EXIT_WRITE = 4
+EXIT_USAGE = 64
 
 
 class _Unwritable(Exception):
     """An output file could not be written; `main` turns this into EXIT_WRITE."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_USAGE; argparse's own 2 means INVALID here."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _load(path: str, say=print) -> RewriteSystem | ParseError | None:
@@ -204,7 +224,7 @@ def cmd_typecheck(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="treeterm",
         description="Termination checker for tree rewrite systems with pattern-refinement types",
     )
@@ -227,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
     p_reduce = sub.add_parser("reduce", help="normalize a term under a system's rules")
     p_reduce.add_argument("path", help="rewrite system file")
     p_reduce.add_argument("--term", required=True, help="erased term to reduce")
-    p_reduce.add_argument("--fuel", type=int, default=10000, help="maximum states to expand")
+    p_reduce.add_argument("--fuel", type=_positive_int, default=10000, help="maximum states to expand")
     p_reduce.add_argument("--all", action="store_true", help="print every normal form, not just one")
     p_reduce.add_argument("--oracle", action="store_true",
                           help="annotate each printed normal form with its pattern form")

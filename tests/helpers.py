@@ -6,8 +6,10 @@ the acceptance runs are reproducible.
 from __future__ import annotations
 
 import random
+from collections import deque
 from itertools import count, permutations, product
 
+from treeterm.analysis import DependencyPair, pattern_unifiable
 from treeterm.syntax import (
     App,
     Arrow,
@@ -471,3 +473,73 @@ def random_digraph(rng: random.Random, n: int, density: float = 0.3) -> frozense
         for j in range(n)
         if rng.random() < density
     )
+
+
+def reference_sccs(n: int, edges: frozenset[tuple[int, int]]) -> list[tuple[int, ...]]:
+    """Strongly connected components by mutual reachability: a BFS from every
+    node, components sorted and listed by smallest member."""
+    succ: dict[int, set[int]] = {v: set() for v in range(n)}
+    for a, b in edges:
+        succ[a].add(b)
+
+    def reachable(v: int) -> set[int]:
+        seen, todo = {v}, deque([v])
+        while todo:
+            for w in succ[todo.popleft()]:
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        return seen
+
+    reach = [reachable(v) for v in range(n)]
+    components = {tuple(sorted(w for w in reach[v] if v in reach[w])) for v in range(n)}
+    return sorted(components)
+
+
+def reference_edges(dps: tuple[DependencyPair, ...]) -> frozenset[tuple[int, int]]:
+    """The dependency-graph edges by testing all pairs of pairs."""
+    return frozenset(
+        (i, j)
+        for i, a in enumerate(dps)
+        for j, b in enumerate(dps)
+        if a.rhs_symbol == b.lhs_symbol
+        and len(a.rhs_args) == len(b.lhs_args)
+        and all(pattern_unifiable(pa, pb) for pa, pb in zip(a.rhs_args, b.lhs_args))
+    )
+
+
+# ---------------------------------------------------------------------------
+# Generated system families
+
+def ring_text(n: int) -> str:
+    """ring-n: n unary symbols, each shrinking its tree and calling the next."""
+    lines = [f"symbol f{i} : forall a. B(a) -> B(_) recursive 1;" for i in range(n)]
+    for i in range(n):
+        lines.append(f"rule f{i}[node(a,b)] (Node[a,b] x y) -> f{(i + 1) % n}[a] x;")
+        lines.append(f"rule f{i}[leaf] Leaf -> Leaf;")
+    return "\n".join(lines) + "\n"
+
+
+def clique_text(n: int) -> str:
+    """clique-n: every one of n unary symbols calls every symbol on a subtree."""
+    lines = [f"symbol f{i} : forall a. B(a) -> B(_) recursive 1;" for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            lines.append(f"rule f{i}[node(a,b)] (Node[a,b] x y) -> f{j}[a] x;")
+    return "\n".join(lines) + "\n"
+
+
+def wide_text(n: int, k: int) -> str:
+    """wide-n×k: a ring of n symbols with k tree arguments; each rule keeps
+    the first k-1 and shrinks only the last."""
+    params = [f"a{p}" for p in range(k)]
+    arrows = " -> ".join(f"B({a})" for a in params)
+    lines = [f"symbol f{i} : forall {' '.join(params)}. {arrows} -> B(_) recursive {k};"
+             for i in range(n)]
+    lhs_pats = ",".join(params[:-1] + ["node(b,c)"])
+    rhs_pats = ",".join(params[:-1] + ["b"])
+    lhs_args = " ".join([f"x{p}" for p in range(k - 1)] + ["(Node[b,c] y z)"])
+    rhs_args = " ".join([f"x{p}" for p in range(k - 1)] + ["y"])
+    for i in range(n):
+        lines.append(f"rule f{i}[{lhs_pats}] {lhs_args} -> f{(i + 1) % n}[{rhs_pats}] {rhs_args};")
+    return "\n".join(lines) + "\n"

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import pytest
 
+from treeterm import analysis
 from treeterm.analysis import (
     DependencyGraph,
     DependencyPair,
@@ -24,6 +25,8 @@ from treeterm.analysis import (
 )
 from treeterm.syntax import parse_pattern, parse_system, pattern_subst, print_pattern
 from treeterm.typecheck import validate_system
+from conftest import APP_PATH, FGIH_PATH, load_validated
+from helpers import clique_text, reference_edges, ring_text, wide_text
 
 
 def pat(text: str):
@@ -171,13 +174,16 @@ def test_fgih_graph_edges(fgih_validated):
     ]
 
 
+EDGE_MIX = (
+    "symbol f : forall a. B(a) -> B(leaf) recursive 1;\n"
+    "symbol g : forall a b. B(a) -> B(b) -> B(leaf) recursive 1;\n"
+    "rule f[a] x -> g[a,leaf] x Leaf;\n"
+    "rule g[node(a,b),c] (Node x y) -> \\z:B(c). f[a] x;\n"
+)
+
+
 def test_edge_requires_matching_arity():
-    vs = system(
-        "symbol f : forall a. B(a) -> B(leaf) recursive 1;\n"
-        "symbol g : forall a b. B(a) -> B(b) -> B(leaf) recursive 1;\n"
-        "rule f[a] x -> g[a,leaf] x Leaf;\n"
-        "rule g[node(a,b),c] (Node x y) -> \\z:B(c). f[a] x;\n"
-    )
+    vs = system(EDGE_MIX)
     dps = extract_dps(vs)
     assert [dp_label(d) for d in dps] == [
         "f♯(a) -> g♯(a,leaf)",
@@ -196,6 +202,27 @@ def test_edge_requires_matching_symbol():
     )
     g = build_graph(extract_dps(vs))
     assert sorted(g.edges) == []
+
+
+@pytest.mark.parametrize("vs", [
+    pytest.param(load_validated(APP_PATH), id="app"),
+    pytest.param(load_validated(FGIH_PATH), id="fgih"),
+    pytest.param(system(EDGE_MIX), id="arity-mismatch"),
+    pytest.param(system(clique_text(6)), id="clique-6"),
+    pytest.param(system(wide_text(5, 3)), id="wide-5x3"),
+    pytest.param(system(wide_text(4, 1)), id="wide-4x1"),
+    pytest.param(system(ring_text(7)), id="ring-7"),
+])
+def test_bucketed_edges_match_all_pairs(vs):
+    dps = extract_dps(vs)
+    assert build_graph(dps).edges == reference_edges(dps)
+
+
+def test_adjacency_is_sorted_and_built_once(fgih_validated):
+    g = build_graph(extract_dps(fgih_validated))
+    assert g.adjacency is g.adjacency
+    assert [list(s) for s in g.adjacency] == [g.successors(i) for i in range(len(g.nodes))]
+    assert sorted((a, b) for a, succ in enumerate(g.adjacency) for b in succ) == sorted(g.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +246,17 @@ def test_single_node_with_self_loop_is_nontrivial():
     g = DependencyGraph(nodes=(DependencyPair("f", (), "f", ()),), edges=frozenset({(0, 0)}))
     assert sccs(g) == [(0,)]
     assert is_nontrivial((0,), g)
+
+
+DEEP = 20_000
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["path", "cycle"])
+def test_sccs_on_deep_graphs_do_not_recurse(closed):
+    nodes = (DependencyPair("f", (), "f", ()),) * DEEP
+    edges = {(i, i + 1) for i in range(DEEP - 1)} | ({(DEEP - 1, 0)} if closed else set())
+    comps = sccs(DependencyGraph(nodes, frozenset(edges)))
+    assert comps == ([tuple(range(DEEP))] if closed else [(i,) for i in range(DEEP)])
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +326,23 @@ def test_check_scc_fgih_f_g_loop(fgih_validated):
     assert result.ok
     assert result.strict == (2,)
     assert result.weak == (0,)
+
+
+def test_check_scc_searches_cycles_over_the_weak_nodes_edges_only(fgih_validated, monkeypatch):
+    # handing find_cycle every edge of the graph made each component and
+    # candidate assignment cost O(E), quadratic over many small components
+    seen = []
+
+    def recording(nodes, edges):
+        seen.append((tuple(nodes), edges))
+        return find_cycle(nodes, edges)
+
+    monkeypatch.setattr(analysis, "find_cycle", recording)
+    verdict = check_criterion(fgih_validated)
+    g = verdict.graph
+    assert verdict.terminating and seen
+    for weak, edges in seen:
+        assert edges == {(v, w) for (v, w) in g.edges if v in weak}
 
 
 def test_check_scc_rejects_missing_index(fgih_validated):
@@ -375,6 +430,15 @@ def test_criterion_zero_recursive_positions_is_inconclusive():
     assert not verdict.terminating
     assert verdict.failure.search_space == 0
     assert "no recursive argument positions" in verdict.failure.message
+
+
+def test_criterion_ring_2000():
+    verdict = check_criterion(system(ring_text(2000)))
+    assert verdict.terminating
+    assert (len(verdict.graph.nodes), len(verdict.graph.edges)) == (2000, 2000)
+    (cert,) = verdict.certificates
+    assert cert.nodes == tuple(range(2000))
+    assert dict(cert.indices) == {f"f{i}": 1 for i in range(2000)}
 
 
 def test_criterion_no_rules_trivially_terminating():

@@ -12,6 +12,7 @@ import pytest
 from treeterm.cli import main
 from treeterm.report import SCHEMA_VERSION
 from conftest import APP_PATH, FGIH_PATH, NONMINIMAL_PATH
+from helpers import ring_text
 
 APP = str(APP_PATH)
 FGIH = str(FGIH_PATH)
@@ -386,13 +387,44 @@ def test_typecheck_empty_file(capsys, tmp_path):
 # ---------------------------------------------------------------------------
 # argument handling
 
+def usage_error(capsys, *argv) -> str:
+    """Run a malformed command line: it must exit 64 with a usage line."""
+    with pytest.raises(SystemExit) as exited:
+        main(list(argv))
+    assert exited.value.code == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: treeterm")
+    return captured.err
+
+
 def test_unknown_subcommand_exits_nonzero(capsys):
-    with pytest.raises(SystemExit):
-        main(["frobnicate", FGIH])
-    capsys.readouterr()
+    assert "invalid choice: 'frobnicate'" in usage_error(capsys, "frobnicate", FGIH)
 
 
 def test_reduce_requires_term(capsys):
-    with pytest.raises(SystemExit):
-        main(["reduce", FGIH])
-    capsys.readouterr()
+    assert "--term" in usage_error(capsys, "reduce", FGIH)
+
+
+def test_unknown_option_is_a_usage_error(capsys):
+    assert "unrecognized arguments: --fuel 3" in usage_error(capsys, "check", FGIH, "--fuel", "3")
+
+
+def test_missing_path_is_a_usage_error(capsys):
+    assert "required: path" in usage_error(capsys, "check")
+
+
+@pytest.mark.parametrize("fuel", ["0", "-5", "many"])
+def test_reduce_rejects_fuel_that_is_not_positive(capsys, fuel):
+    err = usage_error(capsys, "reduce", FGIH, "--term", "f Leaf", "--fuel", fuel)
+    assert f"argument --fuel: expected a positive integer, got '{fuel}'" in err
+
+
+def test_check_deep_ring_in_a_process(tmp_path):
+    ring = tmp_path / "ring-1300.trs"
+    ring.write_text(ring_text(1300))
+    result = subprocess.run([sys.executable, "-m", "treeterm.cli", "check", str(ring)],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout.splitlines()[2] == "  dependency pairs: 1300, edges: 1300"

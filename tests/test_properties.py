@@ -7,9 +7,13 @@ from itertools import product
 from hypothesis import assume, given, settings, strategies as st
 
 from treeterm.analysis import (
+    DependencyGraph,
+    DependencyPair,
+    build_graph,
     embeds_strict,
     embeds_weak,
     pattern_unifiable,
+    sccs,
     unify_patterns,
 )
 from treeterm.oracle import (
@@ -77,6 +81,8 @@ from helpers import (
     random_system,
     random_type,
     random_valuation,
+    reference_edges,
+    reference_sccs,
     strictly_above_pattern,
     term_matching_pattern,
     term_with_pattern_form,
@@ -282,6 +288,38 @@ def test_pattern_unifiable_is_unification_of_linearised_patterns(p, q):
     # the shape check must agree with running the unifier on the patterns
     # made linear, with the variables of the two sides kept apart
     assert pattern_unifiable(p, q) == (unify_patterns(freshen(p, "l"), freshen(q, "r")) is not None)
+
+
+# ---------------------------------------------------------------------------
+# Dependency graph
+
+@st.composite
+def digraphs(draw, max_nodes: int = 12):
+    # self-loops and nodes without edges are both drawn
+    n = draw(st.integers(0, max_nodes))
+    if n == 0:
+        return 0, frozenset()
+    node = st.integers(0, n - 1)
+    return n, frozenset(draw(st.sets(st.tuples(node, node), max_size=3 * n)))
+
+
+@given(digraphs())
+@settings(max_examples=300)
+def test_sccs_are_the_mutual_reachability_classes(graph):
+    n, edges = graph
+    nodes = (DependencyPair("f", (), "f", ()),) * n
+    assert sccs(DependencyGraph(nodes, edges)) == reference_sccs(n, edges)
+
+
+@given(rngs())
+@settings(max_examples=150)
+def test_bucketed_edges_match_all_pairs_on_random_pairs(rng):
+    def args() -> tuple:
+        return tuple(random_pattern(rng, 2) for _ in range(rng.randint(0, 2)))
+
+    dps = tuple(DependencyPair(rng.choice("fg"), args(), rng.choice("fg"), args())
+                for _ in range(rng.randint(0, 10)))
+    assert build_graph(dps).edges == reference_edges(dps)
 
 
 # ---------------------------------------------------------------------------
