@@ -8,7 +8,7 @@ strictly shrinks some recursive argument position.
 """
 from __future__ import annotations
 
-import itertools
+import math
 import string
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -430,6 +430,16 @@ def find_indices(
 
     Candidate counts come from the caller arities seen in the component; a
     symbol without recursive arguments leaves nothing to search.
+
+    The result is that of trying every assignment in lexicographic order
+    with `check_scc`: the first that works, or else the first with the
+    longest prefix of passing nodes.  A depth-first search over the sorted
+    symbols finds it without visiting them all.  Each node carries a table
+    of which index pairs weakly decrease and is checked at the later of its
+    two symbols; a branch is cut once a decided node fails at a position no
+    later than the best prefix found so far, since every assignment below it
+    fails there too and comes later.  `check_scc` runs only on assignments
+    where every node passes, and once more on the near-miss it reports.
     """
     arity: dict[str, int] = {}
     for i in scc:
@@ -441,21 +451,65 @@ def find_indices(
             # cannot happen for a component with internal edges
             raise ValueError(f"symbol {dp.rhs_symbol!r} never occurs as a caller in the component")
     symbols = sorted(arity)
-    space = 1
-    for s in symbols:
-        space *= arity[s]
+    space = math.prod(arity[s] for s in symbols)
     if space == 0:
         return IndexSearchFailure(search_space=0)
-    best: tuple[IndexAssignment, SccCheck] | None = None
-    for combo in itertools.product(*(range(1, arity[s] + 1) for s in symbols)):
-        indices = dict(zip(symbols, combo))
+    if space == 1:  # one candidate: no tables to build
+        indices = dict.fromkeys(symbols, 1)
         result = check_scc(scc, g, indices)
         if result.ok:
             return indices, result
-        if best is None or len(result.strict) + len(result.weak) > len(best[1].strict) + len(best[1].weak):
-            best = (indices, result)
+        return IndexSearchFailure(search_space=1, best_indices=indices, best_check=result)
+    level = {s: d for d, s in enumerate(symbols)}
+    # checks[d]: (position in scc, caller level, callee level, weak table)
+    # for the nodes whose later symbol is symbols[d]
+    checks: list[list[tuple[int, int, int, list[list[bool]]]]] = [[] for _ in symbols]
+    for pos, i in enumerate(scc):
+        dp = g.nodes[i]
+        kf, kg = arity[dp.lhs_symbol], arity[dp.rhs_symbol]
+        if kf > len(dp.lhs_args) or kg > len(dp.rhs_args):
+            raise ValueError(f"index assignment out of range for node {i}")
+        table = [[embeds_weak(p, q) for q in dp.rhs_args[:kg]] for p in dp.lhs_args[:kf]]
+        a, b = level[dp.lhs_symbol], level[dp.rhs_symbol]
+        checks[max(a, b)].append((pos, a, b, table))
+
+    size, last = len(scc), len(symbols) - 1
+    chosen = [-1] * len(symbols)  # zero-based index per level
+    # first_fail[d]: the earliest position failing among nodes checked
+    # above level d, or `size` when none fails
+    first_fail = [size] * len(symbols)
+    best: tuple[int, ...] | None = None
+    best_score = -1
+    d = 0
+    while d >= 0:
+        if chosen[d] + 1 == arity[symbols[d]]:
+            chosen[d] = -1
+            d -= 1
+            continue
+        chosen[d] += 1
+        fail = first_fail[d]
+        for pos, a, b, table in checks[d]:
+            if pos < fail and not table[chosen[a]][chosen[b]]:
+                fail = pos
+        if fail < size and fail <= best_score:
+            continue  # nothing below can work or beat the best near-miss
+        if d < last:
+            first_fail[d + 1] = fail
+            d += 1
+            continue
+        combo = tuple(c + 1 for c in chosen)
+        if fail == size:
+            indices = dict(zip(symbols, combo))
+            result = check_scc(scc, g, indices)
+            if result.ok:
+                return indices, result
+        if fail > best_score:
+            best, best_score = combo, fail
     assert best is not None
-    return IndexSearchFailure(search_space=space, best_indices=best[0], best_check=best[1])
+    best_indices = dict(zip(symbols, best))
+    return IndexSearchFailure(
+        search_space=space, best_indices=best_indices, best_check=check_scc(scc, g, best_indices)
+    )
 
 
 # ---------------------------------------------------------------------------

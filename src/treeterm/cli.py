@@ -4,7 +4,8 @@ Exit codes are uniform across commands: 0 for success (termination proved,
 or the requested output produced), 1 when the criterion or the reducer runs
 out of road (inconclusive verdict, spent fuel), 2 for validation and typing
 errors, 3 for unparsable input, 4 when an output file cannot be written,
-64 for a malformed command line (the sysexits EX_USAGE).
+5 when the input nests too deeply to process, 64 for a malformed command
+line (the sysexits EX_USAGE).
 """
 from __future__ import annotations
 
@@ -40,6 +41,7 @@ EXIT_UNKNOWN = 1
 EXIT_INVALID = 2
 EXIT_PARSE = 3
 EXIT_WRITE = 4
+EXIT_INTERNAL = 5
 EXIT_USAGE = 64
 
 
@@ -263,6 +265,10 @@ def main(argv: list[str] | None = None) -> int:
     except _Unwritable as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_WRITE
+    except RecursionError:
+        # the parser, typechecker and reducer recurse along the term structure
+        print("error: input nests too deeply", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def run() -> None:

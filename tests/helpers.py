@@ -9,7 +9,15 @@ import random
 from collections import deque
 from itertools import count, permutations, product
 
-from treeterm.analysis import DependencyPair, pattern_unifiable
+from treeterm.analysis import (
+    DependencyGraph,
+    DependencyPair,
+    IndexAssignment,
+    IndexSearchFailure,
+    SccCheck,
+    check_scc,
+    pattern_unifiable,
+)
 from treeterm.syntax import (
     App,
     Arrow,
@@ -508,6 +516,38 @@ def reference_edges(dps: tuple[DependencyPair, ...]) -> frozenset[tuple[int, int
     )
 
 
+def reference_find_indices(
+    scc: tuple[int, ...], g: DependencyGraph
+) -> tuple[IndexAssignment, SccCheck] | IndexSearchFailure:
+    """The index search by running `check_scc` on every assignment in
+    lexicographic order."""
+    arity: dict[str, int] = {}
+    for i in scc:
+        dp = g.nodes[i]
+        arity.setdefault(dp.lhs_symbol, len(dp.lhs_args))
+    for i in scc:
+        dp = g.nodes[i]
+        if dp.rhs_symbol not in arity:
+            # cannot happen for a component with internal edges
+            raise ValueError(f"symbol {dp.rhs_symbol!r} never occurs as a caller in the component")
+    symbols = sorted(arity)
+    space = 1
+    for s in symbols:
+        space *= arity[s]
+    if space == 0:
+        return IndexSearchFailure(search_space=0)
+    best: tuple[IndexAssignment, SccCheck] | None = None
+    for combo in product(*(range(1, arity[s] + 1) for s in symbols)):
+        indices = dict(zip(symbols, combo))
+        result = check_scc(scc, g, indices)
+        if result.ok:
+            return indices, result
+        if best is None or len(result.strict) + len(result.weak) > len(best[1].strict) + len(best[1].weak):
+            best = (indices, result)
+    assert best is not None
+    return IndexSearchFailure(search_space=space, best_indices=best[0], best_check=best[1])
+
+
 # ---------------------------------------------------------------------------
 # Generated system families
 
@@ -529,17 +569,20 @@ def clique_text(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def wide_text(n: int, k: int) -> str:
+def wide_text(n: int, k: int, j: int | None = -1) -> str:
     """wide-n×k: a ring of n symbols with k tree arguments; each rule keeps
-    the first k-1 and shrinks only the last."""
+    every argument but the j-th (the last by default), which it shrinks.
+    With j None nothing shrinks, so no index assignment works."""
     params = [f"a{p}" for p in range(k)]
     arrows = " -> ".join(f"B({a})" for a in params)
     lines = [f"symbol f{i} : forall {' '.join(params)}. {arrows} -> B(_) recursive {k};"
              for i in range(n)]
-    lhs_pats = ",".join(params[:-1] + ["node(b,c)"])
-    rhs_pats = ",".join(params[:-1] + ["b"])
-    lhs_args = " ".join([f"x{p}" for p in range(k - 1)] + ["(Node[b,c] y z)"])
-    rhs_args = " ".join([f"x{p}" for p in range(k - 1)] + ["y"])
+    lhs_pats, lhs_args = list(params), [f"x{p}" for p in range(k)]
+    rhs_pats, rhs_args = list(params), list(lhs_args)
+    if j is not None:
+        lhs_pats[j], lhs_args[j] = "node(b,c)", "(Node[b,c] y z)"
+        rhs_pats[j], rhs_args[j] = "b", "y"
     for i in range(n):
-        lines.append(f"rule f{i}[{lhs_pats}] {lhs_args} -> f{(i + 1) % n}[{rhs_pats}] {rhs_args};")
+        lines.append(f"rule f{i}[{','.join(lhs_pats)}] {' '.join(lhs_args)} -> "
+                     f"f{(i + 1) % n}[{','.join(rhs_pats)}] {' '.join(rhs_args)};")
     return "\n".join(lines) + "\n"

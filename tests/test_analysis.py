@@ -376,6 +376,44 @@ def test_find_indices_reports_best_near_miss():
     assert not found.best_check.ok
 
 
+@pytest.mark.parametrize("j", [None, 3])
+def test_find_indices_runs_check_scc_on_few_candidates(j, monkeypatch):
+    # wide-8×4 has 4^8 assignments, and trying them in order took 65536
+    # check_scc calls in both cases: with j=3 the certificate, ι=4
+    # everywhere, is the last one.  Only the k assignments with equal
+    # indices pass every node, plus the reported near-miss.
+    calls = []
+
+    def counting(scc, g, indices):
+        calls.append(indices)
+        return check_scc(scc, g, indices)
+
+    monkeypatch.setattr(analysis, "check_scc", counting)
+    verdict = check_criterion(system(wide_text(8, 4, j)))
+    assert verdict.terminating == (j is not None)
+    assert len(calls) <= 4 + 1
+
+
+def test_criterion_wide_12x4_shrinking():
+    verdict = check_criterion(system(wide_text(12, 4, 3)))
+    assert verdict.terminating
+    (cert,) = verdict.certificates
+    assert cert.nodes == tuple(range(12))
+    assert dict(cert.indices) == {f"f{i}": 4 for i in range(12)}
+    assert cert.strict == tuple(range(12))
+
+
+def test_criterion_wide_12x4_without_shrinking():
+    verdict = check_criterion(system(wide_text(12, 4, None)))
+    assert not verdict.terminating
+    failure = verdict.failure
+    assert failure.search_space == 4 ** 12
+    assert dict(failure.best_indices) == {f"f{i}": 1 for i in range(12)}
+    assert failure.failing_node is None
+    assert sorted(failure.cycle) == list(range(12))
+    assert "without a strict decrease" in failure.message
+
+
 def test_criterion_app(app_validated):
     verdict = check_criterion(app_validated)
     assert verdict.terminating

@@ -428,3 +428,30 @@ def test_check_deep_ring_in_a_process(tmp_path):
     assert result.returncode == 0, result.stderr
     assert "Traceback" not in result.stderr
     assert result.stdout.splitlines()[2] == "  dependency pairs: 1300, edges: 1300"
+
+
+def deep_tree(depth: int) -> str:
+    return "(Node " * depth + "Leaf" + " Leaf)" * depth
+
+
+def deep_rhs_system(depth: int) -> str:
+    rhs = "x"
+    for _ in range(depth):
+        rhs = f"(Node[a,b] {rhs} y)"
+    return ("symbol f : forall a. B(a) -> B(_) recursive 1;\n"
+            f"rule f[node(a,b)] (Node[a,b] x y) -> {rhs};\n")
+
+
+@pytest.mark.parametrize("command", ["reduce", "check"])
+def test_deep_nesting_exits_5_in_a_process(tmp_path, command):
+    if command == "reduce":
+        argv = ["reduce", FGIH, "--term", "i " + deep_tree(1500)]
+    else:
+        deep = tmp_path / "deep.trs"
+        deep.write_text(deep_rhs_system(1500))
+        argv = ["check", str(deep)]
+    result = subprocess.run([sys.executable, "-m", "treeterm.cli", *argv],
+                            capture_output=True, text=True)
+    assert result.returncode == 5
+    assert result.stderr == "error: input nests too deeply\n"
+    assert result.stdout == ""

@@ -4,7 +4,7 @@ from __future__ import annotations
 import random
 from itertools import product
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from treeterm.analysis import (
     DependencyGraph,
@@ -12,6 +12,7 @@ from treeterm.analysis import (
     build_graph,
     embeds_strict,
     embeds_weak,
+    find_indices,
     pattern_unifiable,
     sccs,
     unify_patterns,
@@ -82,6 +83,7 @@ from helpers import (
     random_type,
     random_valuation,
     reference_edges,
+    reference_find_indices,
     reference_sccs,
     strictly_above_pattern,
     term_matching_pattern,
@@ -320,6 +322,57 @@ def test_bucketed_edges_match_all_pairs_on_random_pairs(rng):
     dps = tuple(DependencyPair(rng.choice("fg"), args(), rng.choice("fg"), args())
                 for _ in range(rng.randint(0, 10)))
     assert build_graph(dps).edges == reference_edges(dps)
+
+
+# Index-search components draw their patterns from here.  Equal patterns
+# decrease weakly, a pattern strictly embeds its own subpatterns, and a
+# wildcard decreases only into an equal one.
+_A, _B = PVar("a"), PVar("b")
+INDEX_PATTERNS = (_A, _B, PLeaf(), PBottom(), PWild(), PNode(_A, _B),
+                  PNode(PNode(_A, _B), PLeaf()), PNode(PWild(), _A))
+
+
+@st.composite
+def index_components(draw):
+    """A component for the index search: 1-4 symbols of arity 1-3, 1-6
+    pairs between them and random edges.  Most callee patterns come from the
+    caller's own patterns or their subpatterns, so decreases are common."""
+    symbols = "fghi"[:draw(st.integers(1, 4))]
+    arity = {s: draw(st.integers(1, 3)) for s in symbols}
+    callers = draw(st.lists(st.sampled_from(symbols), min_size=1, max_size=6))
+    nodes = []
+    for f in callers:
+        lhs = tuple(draw(st.sampled_from(INDEX_PATTERNS)) for _ in range(arity[f]))
+        below = st.sampled_from(lhs).flatmap(
+            lambda p: st.sampled_from((p, p.left, p.right) if isinstance(p, PNode) else (p,)))
+        callee = st.one_of(below, below, below, st.sampled_from(INDEX_PATTERNS))
+        g = draw(st.sampled_from(sorted(set(callers))))
+        nodes.append(DependencyPair(f, lhs, g, tuple(draw(callee) for _ in range(arity[g]))))
+    node = st.integers(0, len(nodes) - 1)
+    edges = frozenset(draw(st.sets(st.tuples(node, node), max_size=3 * len(nodes))))
+    return tuple(range(len(nodes))), DependencyGraph(tuple(nodes), edges)
+
+
+# ι=1 leaves the self-loop weak, a cycle with every node passing; only the
+# later ι=2 works.  A search that stops exploring once its best near-miss
+# covers the whole component misses it.
+CYCLE_BEFORE_SUCCESS = ((0,), DependencyGraph(
+    (DependencyPair("f", (_A, PNode(_A, _B)), "f", (_A, _A)),), frozenset({(0, 0)})))
+# ι=(1,1) and ι=(2,2) both pass node 0 and fail node 1; the first must stay
+# the near-miss.
+TIED_NEAR_MISSES = ((0, 1), DependencyGraph(
+    (DependencyPair("f", (_A, _B), "g", (_A, _B)),
+     DependencyPair("g", (_A, _B), "f", (PLeaf(), PLeaf()))),
+    frozenset({(0, 1), (1, 0)})))
+
+
+@given(index_components())
+@example(CYCLE_BEFORE_SUCCESS)
+@example(TIED_NEAR_MISSES)
+@settings(max_examples=300)
+def test_index_search_matches_exhaustive_enumeration(component):
+    scc, g = component
+    assert find_indices(scc, g) == reference_find_indices(scc, g)
 
 
 # ---------------------------------------------------------------------------
