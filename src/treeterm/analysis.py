@@ -14,21 +14,19 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .syntax import (
+from .syntax import print_pattern
+from .terms import (
     AnnotatedTerm,
     App,
     Lam,
     PatApp,
     PatLam,
     Pattern,
-    PBottom,
-    PLeaf,
     PNode,
     PVar,
     PWild,
     SymbolRef,
     pattern_subst,
-    print_pattern,
 )
 from .typecheck import ValidatedSystem
 
@@ -117,62 +115,6 @@ def extract_dps(vsys: ValidatedSystem) -> tuple[DependencyPair, ...]:
 # ---------------------------------------------------------------------------
 # Pattern unification
 
-def _assert_no_wildcard(p: Pattern) -> None:
-    if isinstance(p, PWild):
-        raise ValueError("unification input must not contain wildcards")
-    if isinstance(p, PNode):
-        _assert_no_wildcard(p.left)
-        _assert_no_wildcard(p.right)
-
-
-def _occurs(name: str, p: Pattern) -> bool:
-    if isinstance(p, PVar):
-        return p.name == name
-    if isinstance(p, PNode):
-        return _occurs(name, p.left) or _occurs(name, p.right)
-    return False
-
-
-def unify_patterns(p: Pattern, q: Pattern) -> dict[str, Pattern] | None:
-    """Most general unifier of two wildcard-free patterns, or None.
-
-    The empty pattern is an ordinary constant here, and binding a variable
-    to a pattern containing it fails the occurs check.
-    """
-    _assert_no_wildcard(p)
-    _assert_no_wildcard(q)
-    subst: dict[str, Pattern] = {}
-
-    def bind(name: str, value: Pattern) -> bool:
-        value = pattern_subst(value, subst)
-        if isinstance(value, PVar) and value.name == name:
-            return True
-        if _occurs(name, value):
-            return False
-        for key in list(subst):
-            subst[key] = pattern_subst(subst[key], {name: value})
-        subst[name] = value
-        return True
-
-    work = [(p, q)]
-    while work:
-        a, b = work.pop()
-        a = pattern_subst(a, subst)
-        b = pattern_subst(b, subst)
-        if isinstance(a, PVar):
-            if not bind(a.name, b):
-                return None
-        elif isinstance(b, PVar):
-            if not bind(b.name, a):
-                return None
-        elif isinstance(a, PNode) and isinstance(b, PNode):
-            work.append((a.left, b.left))
-            work.append((a.right, b.right))
-        elif type(a) is not type(b):
-            return None
-    return subst
-
-
 def _shapes_agree(p: Pattern, q: Pattern) -> bool:
     if isinstance(p, (PVar, PWild)) or isinstance(q, (PVar, PWild)):
         return True
@@ -207,9 +149,6 @@ class DependencyGraph:
         for a, b in self.edges:
             succ[a].append(b)
         return tuple(tuple(sorted(s)) for s in succ)
-
-    def successors(self, i: int) -> list[int]:
-        return list(self.adjacency[i])
 
 
 def build_graph(dps: tuple[DependencyPair, ...]) -> DependencyGraph:

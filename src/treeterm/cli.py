@@ -3,29 +3,29 @@
 Exit codes are uniform across commands: 0 for success (termination proved,
 or the requested output produced), 1 when the criterion or the reducer runs
 out of road (inconclusive verdict, spent fuel), 2 for validation and typing
-errors, 3 for unparsable input, 4 when an output file cannot be written,
-5 when the input nests too deeply to process, 64 for a malformed command
-line (the sysexits EX_USAGE).
+errors, 3 for input that cannot be read, decoded as UTF-8 or parsed, 4 when
+an output cannot be written (a file, or stdout closed early), 5 when the
+input nests too deeply to process, 64 for a malformed command line (the
+sysexits EX_USAGE).
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
 
 from .analysis import Verdict, check_criterion, dp_label, is_nontrivial, to_dot
-from .oracle import pattern_form
 from .report import (
     build_report,
     diagnostic_to_dict,
     parse_error_to_dict,
     report_to_json,
 )
-from .rewrite import FuelExhausted, normalize
+from .rewrite import FuelExhausted, normalize, pattern_form
 from .syntax import (
     ParseError,
-    RewriteSystem,
     parse_erased_term,
     parse_system,
     print_erased,
@@ -33,6 +33,7 @@ from .syntax import (
     print_rule,
     print_type,
 )
+from .terms import RewriteSystem
 from .typecheck import Diagnostic, ValidatedSystem, validate_system
 from .viz import render_graph_png
 
@@ -68,11 +69,12 @@ def _positive_int(text: str) -> int:
 
 
 def _load(path: str, say=print) -> RewriteSystem | ParseError | None:
-    """Read and parse a system file.  An unreadable file is reported on
-    stderr and gives None; a parse error is reported with `say` and returned."""
+    """Read and parse a system file.  A file that cannot be read or is not
+    UTF-8 is reported on stderr and gives None; a parse error is reported
+    with `say` and returned."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return None
     try:
@@ -261,7 +263,17 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (`| head`).  Point stdout at devnull
+        # so the flush at shutdown cannot raise again; see "Note on SIGPIPE"
+        # in the `signal` module's documentation.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_WRITE
     except _Unwritable as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_WRITE

@@ -10,13 +10,8 @@ import json
 from typing import Any
 
 from .analysis import Verdict, dp_label, is_nontrivial, sccs
-from .syntax import (
-    ParseError,
-    RewriteSystem,
-    print_pattern,
-    print_rule,
-    print_type,
-)
+from .syntax import ParseError, print_pattern, print_rule, print_type
+from .terms import RewriteSystem
 from .typecheck import Diagnostic, ValidatedSystem
 
 SCHEMA_VERSION = 1

@@ -10,20 +10,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .syntax import (
+from .syntax import print_erased
+from .terms import (
     EApp,
     ELam,
     ELeaf,
     ENode,
+    ErasedTerm,
     ESym,
     EVar,
-    ErasedTerm,
+    Pattern,
+    PBottom,
+    PLeaf,
+    PNode,
+    PWild,
     RewriteSystem,
     alpha_canonical,
     erase,
     erase_constructor,
     erased_subst,
-    print_erased,
 )
 
 
@@ -86,11 +91,6 @@ def _step(t: ErasedTerm, rules: tuple[ErasedRule, ...]) -> frozenset[ErasedTerm]
         for u in _step(t.body, rules):
             out.add(ELam(t.binder, u))
     return frozenset(out)
-
-
-def step(t: ErasedTerm, sys: RewriteSystem) -> frozenset[ErasedTerm]:
-    """All one-step reducts of t at any position."""
-    return _step(t, erased_rules(sys))
 
 
 @dataclass(frozen=True)
@@ -177,3 +177,16 @@ def node_parts(t: ErasedTerm) -> tuple[ErasedTerm, ErasedTerm] | None:
     if isinstance(t, EApp) and isinstance(t.fun, EApp) and isinstance(t.fun.fun, ENode):
         return t.fun.arg, t.arg
     return None
+
+
+def pattern_form(v: ErasedTerm) -> Pattern:
+    """The pattern shape of a normal form: neutral terms are opaque, trees
+    map to their spine, lambdas to the wildcard."""
+    if is_neutral(v):
+        return PBottom()
+    if isinstance(v, ELeaf):
+        return PLeaf()
+    parts = node_parts(v)
+    if parts is not None:
+        return PNode(pattern_form(parts[0]), pattern_form(parts[1]))
+    return PWild()

@@ -1,15 +1,14 @@
 """The textual .trs format of pattern-refined tree rewrite systems: the
 tokenizer, the parser and the printers.
 
-The abstract syntax they read and write lives in `terms` and is re-exported
-here, so `treeterm.syntax` gives both.
+The abstract syntax they read and write lives in `terms`.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 
-from .terms import (  # all re-exported, so callers need only this module
+from .terms import (
     AnnotatedTerm,
     App,
     Arrow,
@@ -45,26 +44,7 @@ from .terms import (  # all re-exported, so callers need only this module
     SymbolInfo,
     SymbolRef,
     TermVar,
-    alpha_canonical,
-    alpha_eq_erased,
-    alpha_eq_type,
-    constructor_term_vars,
-    erase,
-    erase_constructor,
-    erased_free_vars,
-    erased_subst,
-    fresh_name,
-    pattern_is_closed,
-    pattern_is_minimal,
-    pattern_size,
-    pattern_subst,
-    pattern_vars,
     quantifier_prefix,
-    subst_pattern,
-    term_free_pattern_vars,
-    term_free_term_vars,
-    type_free_vars,
-    type_subst,
 )
 
 

@@ -3,7 +3,7 @@
 Patterns approximate binary-tree shapes, refinement types attach patterns to
 the base type of trees, and annotated terms carry explicit pattern
 applications and abstractions.  This module also houses substitution,
-alpha-equivalence and the erasure from annotated terms to the untyped
+alpha-canonical renaming and the erasure from annotated terms to the untyped
 runtime language.  The textual format lives in `syntax`.
 """
 from __future__ import annotations
@@ -59,26 +59,6 @@ def pattern_vars(p: Pattern) -> frozenset[str]:
     if isinstance(p, PNode):
         return pattern_vars(p.left) | pattern_vars(p.right)
     return frozenset()
-
-
-def pattern_is_minimal(p: Pattern) -> bool:
-    """True when p contains neither a wildcard nor the empty pattern."""
-    if isinstance(p, (PWild, PBottom)):
-        return False
-    if isinstance(p, PNode):
-        return pattern_is_minimal(p.left) and pattern_is_minimal(p.right)
-    return True
-
-
-def pattern_is_closed(p: Pattern) -> bool:
-    return not pattern_vars(p)
-
-
-def pattern_size(p: Pattern) -> int:
-    """Number of node constructors in p."""
-    if isinstance(p, PNode):
-        return 1 + pattern_size(p.left) + pattern_size(p.right)
-    return 0
 
 
 def pattern_subst(p: Pattern, mapping: Mapping[str, Pattern]) -> Pattern:
@@ -150,46 +130,12 @@ def type_subst(t: RefinementType, mapping: Mapping[str, Pattern]) -> RefinementT
     return Forall(binder, type_subst(body, relevant))
 
 
-def subst_pattern(t: RefinementType, var: str, p: Pattern) -> RefinementType:
-    """Substitute a single pattern variable in a type, avoiding capture."""
-    return type_subst(t, {var: p})
-
-
 def quantifier_prefix(t: RefinementType) -> tuple[tuple[str, ...], RefinementType]:
     names: list[str] = []
     while isinstance(t, Forall):
         names.append(t.binder)
         t = t.body
     return tuple(names), t
-
-
-def alpha_eq_type(a: RefinementType, b: RefinementType) -> bool:
-    def pat_eq(p: Pattern, q: Pattern, ea: dict[str, int], eb: dict[str, int]) -> bool:
-        if isinstance(p, PVar) and isinstance(q, PVar):
-            ka = ea.get(p.name, p.name)
-            kb = eb.get(q.name, q.name)
-            return ka == kb
-        if type(p) is not type(q):
-            return False
-        if isinstance(p, PNode):
-            assert isinstance(q, PNode)
-            return pat_eq(p.left, q.left, ea, eb) and pat_eq(p.right, q.right, ea, eb)
-        return True
-
-    def go(x: RefinementType, y: RefinementType, ea: dict[str, int], eb: dict[str, int], depth: int) -> bool:
-        if isinstance(x, Base) and isinstance(y, Base):
-            return pat_eq(x.pattern, y.pattern, ea, eb)
-        if isinstance(x, Arrow) and isinstance(y, Arrow):
-            return go(x.dom, y.dom, ea, eb, depth) and go(x.cod, y.cod, ea, eb, depth)
-        if isinstance(x, Forall) and isinstance(y, Forall):
-            ea2 = dict(ea)
-            eb2 = dict(eb)
-            ea2[x.binder] = depth
-            eb2[y.binder] = depth
-            return go(x.body, y.body, ea2, eb2, depth + 1)
-        return False
-
-    return go(a, b, {}, {}, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -435,10 +381,6 @@ def alpha_canonical(t: ErasedTerm) -> ErasedTerm:
         return u
 
     return go(t, 0, {})
-
-
-def alpha_eq_erased(a: ErasedTerm, b: ErasedTerm) -> bool:
-    return alpha_canonical(a) == alpha_canonical(b)
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,11 @@ pattern annotation is determined by its structure.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
-from .syntax import (
+from .syntax import print_pattern, print_term, print_type
+from .terms import (
     AnnotatedTerm,
     App,
     Arrow,
@@ -42,9 +43,6 @@ from .syntax import (
     fresh_name,
     pattern_subst,
     pattern_vars,
-    print_pattern,
-    print_term,
-    print_type,
     quantifier_prefix,
     term_free_pattern_vars,
     term_free_term_vars,

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from treeterm.syntax import RewriteSystem, parse_system
+from treeterm.syntax import parse_system
+from treeterm.terms import RewriteSystem
 from treeterm.typecheck import ValidatedSystem, validate_system
 
 SYSTEMS = Path(__file__).resolve().parent.parent / "systems"

@@ -18,7 +18,8 @@ from treeterm.analysis import (
     check_scc,
     pattern_unifiable,
 )
-from treeterm.syntax import (
+from treeterm.rewrite import _step, erased_rules
+from treeterm.terms import (
     App,
     Arrow,
     Base,
@@ -29,9 +30,9 @@ from treeterm.syntax import (
     ELam,
     ELeaf,
     ENode,
+    ErasedTerm,
     ESym,
     EVar,
-    ErasedTerm,
     Forall,
     Lam,
     LeafCon,
@@ -51,7 +52,133 @@ from treeterm.syntax import (
     SymbolInfo,
     SymbolRef,
     TermVar,
+    alpha_canonical,
+    pattern_subst,
+    pattern_vars,
+    type_subst,
 )
+
+# ---------------------------------------------------------------------------
+# References: pattern and type predicates, unification, one-step reduction
+
+def pattern_is_minimal(p: Pattern) -> bool:
+    """True when p contains neither a wildcard nor the empty pattern."""
+    if isinstance(p, (PWild, PBottom)):
+        return False
+    if isinstance(p, PNode):
+        return pattern_is_minimal(p.left) and pattern_is_minimal(p.right)
+    return True
+
+
+def pattern_is_closed(p: Pattern) -> bool:
+    return not pattern_vars(p)
+
+
+def pattern_size(p: Pattern) -> int:
+    """Number of node constructors in p."""
+    if isinstance(p, PNode):
+        return 1 + pattern_size(p.left) + pattern_size(p.right)
+    return 0
+
+
+def subst_pattern(t: RefinementType, var: str, p: Pattern) -> RefinementType:
+    """Substitute a single pattern variable in a type, avoiding capture."""
+    return type_subst(t, {var: p})
+
+
+def alpha_eq_type(a: RefinementType, b: RefinementType) -> bool:
+    def pat_eq(p: Pattern, q: Pattern, ea: dict[str, int], eb: dict[str, int]) -> bool:
+        if isinstance(p, PVar) and isinstance(q, PVar):
+            ka = ea.get(p.name, p.name)
+            kb = eb.get(q.name, q.name)
+            return ka == kb
+        if type(p) is not type(q):
+            return False
+        if isinstance(p, PNode):
+            assert isinstance(q, PNode)
+            return pat_eq(p.left, q.left, ea, eb) and pat_eq(p.right, q.right, ea, eb)
+        return True
+
+    def go(x: RefinementType, y: RefinementType, ea: dict[str, int], eb: dict[str, int], depth: int) -> bool:
+        if isinstance(x, Base) and isinstance(y, Base):
+            return pat_eq(x.pattern, y.pattern, ea, eb)
+        if isinstance(x, Arrow) and isinstance(y, Arrow):
+            return go(x.dom, y.dom, ea, eb, depth) and go(x.cod, y.cod, ea, eb, depth)
+        if isinstance(x, Forall) and isinstance(y, Forall):
+            ea2 = dict(ea)
+            eb2 = dict(eb)
+            ea2[x.binder] = depth
+            eb2[y.binder] = depth
+            return go(x.body, y.body, ea2, eb2, depth + 1)
+        return False
+
+    return go(a, b, {}, {}, 0)
+
+
+def alpha_eq_erased(a: ErasedTerm, b: ErasedTerm) -> bool:
+    return alpha_canonical(a) == alpha_canonical(b)
+
+
+def _assert_no_wildcard(p: Pattern) -> None:
+    if isinstance(p, PWild):
+        raise ValueError("unification input must not contain wildcards")
+    if isinstance(p, PNode):
+        _assert_no_wildcard(p.left)
+        _assert_no_wildcard(p.right)
+
+
+def _occurs(name: str, p: Pattern) -> bool:
+    if isinstance(p, PVar):
+        return p.name == name
+    if isinstance(p, PNode):
+        return _occurs(name, p.left) or _occurs(name, p.right)
+    return False
+
+
+def unify_patterns(p: Pattern, q: Pattern) -> dict[str, Pattern] | None:
+    """Most general unifier of two wildcard-free patterns, or None.
+
+    The empty pattern is an ordinary constant here, and binding a variable
+    to a pattern containing it fails the occurs check.
+    """
+    _assert_no_wildcard(p)
+    _assert_no_wildcard(q)
+    subst: dict[str, Pattern] = {}
+
+    def bind(name: str, value: Pattern) -> bool:
+        value = pattern_subst(value, subst)
+        if isinstance(value, PVar) and value.name == name:
+            return True
+        if _occurs(name, value):
+            return False
+        for key in list(subst):
+            subst[key] = pattern_subst(subst[key], {name: value})
+        subst[name] = value
+        return True
+
+    work = [(p, q)]
+    while work:
+        a, b = work.pop()
+        a = pattern_subst(a, subst)
+        b = pattern_subst(b, subst)
+        if isinstance(a, PVar):
+            if not bind(a.name, b):
+                return None
+        elif isinstance(b, PVar):
+            if not bind(b.name, a):
+                return None
+        elif isinstance(a, PNode) and isinstance(b, PNode):
+            work.append((a.left, b.left))
+            work.append((a.right, b.right))
+        elif type(a) is not type(b):
+            return None
+    return subst
+
+
+def step(t: ErasedTerm, sys: RewriteSystem) -> frozenset[ErasedTerm]:
+    """All one-step reducts of t at any position."""
+    return _step(t, erased_rules(sys))
+
 
 # ---------------------------------------------------------------------------
 # Enumerations

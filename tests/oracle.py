@@ -1,10 +1,10 @@
 """Semantic constructions used to cross-check the analysis.
 
-These functions interpret patterns against erased normal forms: the pattern
-shape of a term, the matching relation between values and closed patterns,
-valuations sending pattern variables to sets of closed patterns, a matching
-procedure that recovers a valuation from concrete arguments, and an
-embedding preorder with its size measure.  Nothing here feeds the verdict;
+These functions interpret patterns against erased normal forms, read through
+their pattern shape (`treeterm.rewrite.pattern_form`): the matching relation
+between values and closed patterns, valuations sending pattern variables to
+sets of closed patterns, a matching procedure that recovers a valuation from
+concrete arguments, and an embedding preorder with its size measure.  Nothing here feeds the verdict;
 the point is an independent implementation the property tests can compare
 against.
 """
@@ -12,20 +12,18 @@ from __future__ import annotations
 
 from itertools import product
 
-from .syntax import (
+from treeterm.rewrite import FuelExhausted, is_neutral, node_parts, normalize, pattern_form
+from treeterm.terms import (
     ELeaf,
     ErasedTerm,
     Pattern,
-    PBottom,
     PLeaf,
     PNode,
     PVar,
     PWild,
     RewriteSystem,
-    alpha_eq_erased,
-    pattern_is_closed,
 )
-from .rewrite import FuelExhausted, is_neutral, node_parts, normalize
+from helpers import alpha_eq_erased, pattern_is_closed
 
 
 class FuelExhaustedError(Exception):
@@ -38,19 +36,6 @@ class FuelExhaustedError(Exception):
 
 
 Valuation = dict[str, frozenset[Pattern]]
-
-
-def pattern_form(v: ErasedTerm) -> Pattern:
-    """The pattern shape of a normal form: neutral terms are opaque, trees
-    map to their spine, lambdas to the wildcard."""
-    if is_neutral(v):
-        return PBottom()
-    if isinstance(v, ELeaf):
-        return PLeaf()
-    parts = node_parts(v)
-    if parts is not None:
-        return PNode(pattern_form(parts[0]), pattern_form(parts[1]))
-    return PWild()
 
 
 def term_matches(v: ErasedTerm, p: Pattern) -> bool:

@@ -21,20 +21,18 @@ from treeterm.analysis import (
     find_cycle,
     is_nontrivial,
     sccs,
-    unify_patterns,
 )
 from treeterm.cli import main
-from treeterm.oracle import (
-    apply_valuation,
-    match_patterns,
+from treeterm.rewrite import (
+    FuelExhausted,
+    NormalForms,
+    erased_rules,
+    match_lhs,
+    normalize,
     pattern_form,
-    term_embeds_strict,
-    term_embeds_weak,
-    term_matches,
-    term_size,
 )
-from treeterm.rewrite import FuelExhausted, NormalForms, erased_rules, match_lhs, normalize
-from treeterm.syntax import (
+from treeterm.syntax import parse_system, print_erased, print_system
+from treeterm.terms import (
     App,
     EApp,
     ELeaf,
@@ -50,11 +48,8 @@ from treeterm.syntax import (
     erase,
     erased_free_vars,
     erased_subst,
-    parse_system,
     pattern_subst,
     pattern_vars,
-    print_erased,
-    print_system,
 )
 from treeterm.typecheck import pattern_sub, type_sub
 from conftest import APP_PATH, FGIH_PATH, NONMINIMAL_PATH, load, load_validated
@@ -79,7 +74,16 @@ from helpers import (
     tree_like_normal_form,
     type_above,
     type_below,
+    unify_patterns,
     weakly_above_pattern,
+)
+from oracle import (
+    apply_valuation,
+    match_patterns,
+    term_embeds_strict,
+    term_embeds_weak,
+    term_matches,
+    term_size,
 )
 
 FGIH_EDGES = {

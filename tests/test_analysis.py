@@ -21,12 +21,12 @@ from treeterm.analysis import (
     pattern_unifiable,
     sccs,
     to_dot,
-    unify_patterns,
 )
-from treeterm.syntax import parse_pattern, parse_system, pattern_subst, print_pattern
+from treeterm.syntax import parse_pattern, parse_system, print_pattern
+from treeterm.terms import pattern_subst
 from treeterm.typecheck import validate_system
 from conftest import APP_PATH, FGIH_PATH, load_validated
-from helpers import clique_text, reference_edges, ring_text, wide_text
+from helpers import clique_text, reference_edges, ring_text, unify_patterns, wide_text
 
 
 def pat(text: str):
@@ -162,8 +162,8 @@ def test_pattern_unifiable_table(p, q, ok):
 def test_app_graph_edges(app_validated):
     g = build_graph(extract_dps(app_validated))
     assert sorted(g.edges) == [(2, 0), (2, 1)]
-    assert g.successors(2) == [0, 1]
-    assert g.successors(0) == []
+    assert g.adjacency[2] == (0, 1)
+    assert g.adjacency[0] == ()
 
 
 def test_fgih_graph_edges(fgih_validated):
@@ -221,7 +221,7 @@ def test_bucketed_edges_match_all_pairs(vs):
 def test_adjacency_is_sorted_and_built_once(fgih_validated):
     g = build_graph(extract_dps(fgih_validated))
     assert g.adjacency is g.adjacency
-    assert [list(s) for s in g.adjacency] == [g.successors(i) for i in range(len(g.nodes))]
+    assert all(list(s) == sorted(s) for s in g.adjacency)
     assert sorted((a, b) for a, succ in enumerate(g.adjacency) for b in succ) == sorted(g.edges)
 
 

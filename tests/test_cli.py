@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, report files, and printed text."""
 from __future__ import annotations
 
+import importlib.util
 import json
 import struct
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 from treeterm.cli import main
 from treeterm.report import SCHEMA_VERSION
 from conftest import APP_PATH, FGIH_PATH, NONMINIMAL_PATH
-from helpers import ring_text
+from helpers import clique_text, ring_text
 
 APP = str(APP_PATH)
 FGIH = str(FGIH_PATH)
@@ -83,6 +84,18 @@ def test_check_missing_file(capsys, tmp_path):
     assert code == 3
     assert out == ""
     assert "cannot read" in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--term", "f Leaf"]], ids=["check", "reduce"])
+def test_undecodable_input_exits_3(capsys, tmp_path, extra):
+    bad = tmp_path / "latin1.trs"
+    bad.write_bytes(b"symbol f : forall a. B(a) -> B(_) recursive 1;\n# caf\xe9\n")
+    command = "reduce" if extra else "check"
+    code, out, err = run(capsys, command, str(bad), *extra)
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xe9")
 
 
 def test_check_parse_error(capsys, tmp_path):
@@ -288,9 +301,13 @@ def test_unwritable_png_keeps_the_json_report(capsys, tmp_path):
 
 def test_import_does_not_load_the_renderer():
     probe = ("import sys, treeterm; "
-             "print([m for m in ('treeterm.viz', 'treeterm.cli', 'treeterm.report', 'argparse') if m in sys.modules])")
+             "print([m for m in ('treeterm.viz', 'treeterm.cli', 'treeterm.report', 'argparse') if m in sys.modules]); "
+             "print(sorted(m for m in sys.modules if m.startswith('treeterm.')))")
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    unwanted, loaded = result.stdout.splitlines()
+    assert unwanted == "[]"
+    assert loaded == str([f"treeterm.{m}" for m in ("analysis", "rewrite", "syntax", "terms", "typecheck")])
+    assert importlib.util.find_spec("treeterm.oracle") is None
 
 
 def test_module_entry_point_runs_without_warnings():
@@ -455,3 +472,21 @@ def test_deep_nesting_exits_5_in_a_process(tmp_path, command):
     assert result.returncode == 5
     assert result.stderr == "error: input nests too deeply\n"
     assert result.stdout == ""
+
+
+def test_closed_stdout_exits_4_in_a_process(tmp_path):
+    # clique-40 typechecks to ~180 KB, well past a 64 KiB pipe buffer, so the
+    # child is still writing when the reader goes away
+    source = tmp_path / "clique-40.trs"
+    source.write_text(clique_text(40))
+    child = subprocess.Popen([sys.executable, "-m", "treeterm.cli", "typecheck", str(source)],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        first = child.stdout.readline()
+        child.stdout.close()
+        _, err = child.communicate(timeout=60)
+    finally:
+        child.kill()
+    assert first.startswith(b"rule 0: ")
+    assert child.returncode == 4
+    assert b"Traceback" not in err

@@ -3,28 +3,24 @@ from __future__ import annotations
 
 import pytest
 
-from treeterm.oracle import (
-    FuelExhaustedError,
-    apply_valuation,
-    match_patterns,
-    pattern_form,
-    term_embeds_strict,
-    term_embeds_weak,
-    term_matches,
-    term_size,
-)
+from treeterm.rewrite import pattern_form
 from treeterm.syntax import (
-    EApp,
-    ELam,
-    ELeaf,
-    ESym,
-    EVar,
     parse_erased_term,
     parse_pattern,
     parse_system,
     print_pattern,
 )
+from treeterm.terms import ELam, ELeaf, EVar
 from conftest import FGIH_PATH, load
+from oracle import (
+    FuelExhaustedError,
+    apply_valuation,
+    match_patterns,
+    term_embeds_strict,
+    term_embeds_weak,
+    term_matches,
+    term_size,
+)
 
 
 FGIH = load(FGIH_PATH)

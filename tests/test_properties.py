@@ -15,26 +15,23 @@ from treeterm.analysis import (
     find_indices,
     pattern_unifiable,
     sccs,
-    unify_patterns,
 )
-from treeterm.oracle import (
-    apply_valuation,
-    match_patterns,
-    pattern_form,
-    term_embeds_strict,
-    term_embeds_weak,
-    term_matches,
-)
-from treeterm.rewrite import NormalForms, normalize, step
+from treeterm.rewrite import NormalForms, normalize, pattern_form
 from treeterm.syntax import (
+    parse_erased_term,
+    parse_pattern,
+    parse_system,
+    parse_type,
+    print_erased,
+    print_pattern,
+    print_system,
+    print_type,
+)
+from treeterm.terms import (
     Arrow,
     Base,
     EApp,
-    ELam,
-    ELeaf,
     ENode,
-    ESym,
-    EVar,
     Forall,
     PBottom,
     PLeaf,
@@ -42,22 +39,8 @@ from treeterm.syntax import (
     PVar,
     PWild,
     alpha_canonical,
-    alpha_eq_erased,
-    alpha_eq_type,
-    parse_erased_term,
-    parse_pattern,
-    parse_system,
-    parse_type,
-    pattern_is_closed,
-    pattern_is_minimal,
-    pattern_size,
     pattern_subst,
     pattern_vars,
-    print_erased,
-    print_pattern,
-    print_system,
-    print_type,
-    subst_pattern,
     type_free_vars,
 )
 from treeterm.typecheck import (
@@ -71,11 +54,16 @@ from treeterm.typecheck import (
 )
 from conftest import APP_PATH, FGIH_PATH, load
 from helpers import (
+    alpha_eq_erased,
+    alpha_eq_type,
     closed_pattern_above,
     closed_patterns,
     freshen,
     pattern_above,
     pattern_below,
+    pattern_is_closed,
+    pattern_is_minimal,
+    pattern_size,
     random_closed_pattern,
     random_erased_term,
     random_pattern,
@@ -85,12 +73,23 @@ from helpers import (
     reference_edges,
     reference_find_indices,
     reference_sccs,
+    step,
     strictly_above_pattern,
+    subst_pattern,
     term_matching_pattern,
     term_with_pattern_form,
     type_above,
     type_below,
+    unify_patterns,
     weakly_above_pattern,
+)
+from oracle import (
+    FuelExhaustedError,
+    apply_valuation,
+    match_patterns,
+    term_embeds_strict,
+    term_embeds_weak,
+    term_matches,
 )
 
 FGIH = load(FGIH_PATH)
@@ -473,8 +472,6 @@ def test_matching_is_monotone_along_pattern_order(rng):
 @given(rngs())
 @settings(deadline=None)
 def test_recovered_valuations_are_closed_and_nonempty(rng):
-    from treeterm.oracle import FuelExhaustedError
-
     t = random_erased_term(rng, ("i", "h"), 3)
     try:
         theta = match_patterns([t], [parse_pattern("a")], FGIH, fuel=400)

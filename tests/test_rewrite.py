@@ -4,7 +4,6 @@ from __future__ import annotations
 import pytest
 
 from treeterm.rewrite import (
-    ErasedRule,
     FuelExhausted,
     NormalForms,
     erased_rules,
@@ -13,23 +12,11 @@ from treeterm.rewrite import (
     match_lhs,
     node_parts,
     normalize,
-    step,
 )
-from treeterm.syntax import (
-    EApp,
-    ELam,
-    ELeaf,
-    ENode,
-    ESym,
-    EVar,
-    alpha_canonical,
-    alpha_eq_erased,
-    parse_erased_term,
-    parse_system,
-    print_erased,
-)
+from treeterm.syntax import parse_erased_term, parse_system, print_erased
+from treeterm.terms import EApp, ELam, ELeaf, ENode, ESym, EVar, alpha_canonical, erased_subst
 from conftest import APP_PATH, FGIH_PATH, load
-from helpers import ground_trees
+from helpers import alpha_eq_erased, ground_trees, step
 
 
 def et(text: str, symbols=frozenset()):
@@ -244,8 +231,6 @@ def test_normalize_rejects_nonpositive_fuel():
 def test_normalize_rule_instances_step_to_rhs_instances():
     # every ground instance of a rule lhs reduces, in one step, to the
     # matching instance of its rhs
-    from treeterm.syntax import erased_subst
-
     trees = ground_trees(2)
     for rule in erased_rules(FGIH):
         binding_vars = sorted(_vars(rule.lhs))

@@ -4,6 +4,20 @@ from __future__ import annotations
 import pytest
 
 from treeterm.syntax import (
+    ParseError,
+    parse_erased_term,
+    parse_pattern,
+    parse_system,
+    parse_term,
+    parse_type,
+    print_erased,
+    print_pattern,
+    print_rule,
+    print_system,
+    print_term,
+    print_type,
+)
+from treeterm.terms import (
     App,
     Arrow,
     Base,
@@ -18,9 +32,6 @@ from treeterm.syntax import (
     EVar,
     Forall,
     Lam,
-    LeafCon,
-    NodeCon,
-    ParseError,
     PatApp,
     PatLam,
     PBottom,
@@ -31,29 +42,13 @@ from treeterm.syntax import (
     SymbolRef,
     TermVar,
     alpha_canonical,
-    alpha_eq_erased,
-    alpha_eq_type,
     erase,
     erase_constructor,
     erased_free_vars,
     erased_subst,
     fresh_name,
-    parse_erased_term,
-    parse_pattern,
-    parse_system,
-    parse_term,
-    parse_type,
-    pattern_is_closed,
-    pattern_is_minimal,
-    pattern_size,
     pattern_subst,
     pattern_vars,
-    print_erased,
-    print_pattern,
-    print_rule,
-    print_system,
-    print_term,
-    print_type,
     quantifier_prefix,
     term_free_pattern_vars,
     term_free_term_vars,
@@ -61,6 +56,13 @@ from treeterm.syntax import (
     type_subst,
 )
 from conftest import FGIH_PATH, load
+from helpers import (
+    alpha_eq_erased,
+    alpha_eq_type,
+    pattern_is_closed,
+    pattern_is_minimal,
+    pattern_size,
+)
 
 
 # ---------------------------------------------------------------------------

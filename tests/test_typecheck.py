@@ -4,10 +4,6 @@ from __future__ import annotations
 import pytest
 
 from treeterm.syntax import (
-    Arrow,
-    Base,
-    Forall,
-    PVar,
     parse_pattern,
     parse_system,
     parse_term,
@@ -15,6 +11,7 @@ from treeterm.syntax import (
     print_pattern,
     print_type,
 )
+from treeterm.terms import Base, PVar
 from treeterm.typecheck import (
     Context,
     EMPTY_CONTEXT,
