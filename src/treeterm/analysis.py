@@ -11,23 +11,10 @@ from __future__ import annotations
 import math
 import string
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
-from .syntax import print_pattern
-from .terms import (
-    AnnotatedTerm,
-    App,
-    Lam,
-    PatApp,
-    PatLam,
-    Pattern,
-    PNode,
-    PVar,
-    PWild,
-    SymbolRef,
-    pattern_subst,
-)
+from .terms import Pattern, PNode, PVar, PWild, call_sites, pattern_subst
 from .typecheck import ValidatedSystem
 
 
@@ -41,32 +28,6 @@ class DependencyPair:
     rhs_symbol: str
     rhs_args: tuple[Pattern, ...]
     rule_index: int = field(default=0, compare=False)
-
-
-def dp_label(dp: DependencyPair) -> str:
-    def side(symbol: str, args: tuple[Pattern, ...]) -> str:
-        rendered = ",".join(print_pattern(p) for p in args)
-        return f"{symbol}♯({rendered})" if args else f"{symbol}♯"
-
-    return f"{side(dp.lhs_symbol, dp.lhs_args)} -> {side(dp.rhs_symbol, dp.rhs_args)}"
-
-
-def _call_sites(t: AnnotatedTerm) -> list[tuple[str, tuple[Pattern, ...]]]:
-    out: list[tuple[str, tuple[Pattern, ...]]] = []
-
-    def visit(u: AnnotatedTerm, acc: tuple[Pattern, ...]) -> None:
-        if isinstance(u, SymbolRef):
-            out.append((u.name, acc))
-        elif isinstance(u, PatApp):
-            visit(u.fun, (u.pattern,) + acc)
-        elif isinstance(u, App):
-            visit(u.fun, ())
-            visit(u.arg, ())
-        elif isinstance(u, (Lam, PatLam)):
-            visit(u.body, ())
-
-    visit(t, ())
-    return out
 
 
 def _canonical_name(i: int) -> str:
@@ -101,11 +62,11 @@ def extract_dps(vsys: ValidatedSystem) -> tuple[DependencyPair, ...]:
     pairs: list[DependencyPair] = []
     seen: set[DependencyPair] = set()
     for vr in vsys.rules:
-        for callee, args in _call_sites(vr.rule.rhs):
-            if vsys.signature.get(callee) is None:
+        for ref, args in call_sites(vr.rule.rhs):
+            if ref.name not in vsys.signature:
                 continue
             lhs, rhs = _canonicalize(vr.min.recursive_patterns, args)
-            dp = DependencyPair(vr.rule.head, lhs, callee, rhs, rule_index=vr.index)
+            dp = DependencyPair(vr.rule.head, lhs, ref.name, rhs, rule_index=vr.index)
             if dp not in seen:
                 seen.add(dp)
                 pairs.append(dp)
@@ -269,16 +230,29 @@ def embeds_weak(p: Pattern, q: Pattern) -> bool:
 # ---------------------------------------------------------------------------
 # Cycle criterion
 
-IndexAssignment = dict[str, int]
-
-
 @dataclass(frozen=True)
 class SccCheck:
-    ok: bool
+    """The decrease check of the component `nodes` under `indices`, sorted
+    by symbol.
+
+    `strict` and `weak` list the nodes that decrease strictly and weakly,
+    up to `failing_node`, the first that does not decrease.  Otherwise
+    `cycle` is a cycle of weak nodes, if there is one.  `search_space` counts
+    the candidate assignments: 1 from `check_scc`, all of them from
+    `find_indices`, and 0, with no indices, when a symbol in the component
+    has no recursive argument.
+    """
+    nodes: tuple[int, ...]
+    indices: tuple[tuple[str, int], ...]
     strict: tuple[int, ...]
     weak: tuple[int, ...]
     failing_node: int | None = None
     cycle: tuple[int, ...] | None = None
+    search_space: int = 1
+
+    @property
+    def ok(self) -> bool:
+        return self.search_space > 0 and self.failing_node is None and self.cycle is None
 
 
 def find_cycle(nodes: list[int], edges: frozenset[tuple[int, int]]) -> tuple[int, ...] | None:
@@ -322,7 +296,7 @@ def find_cycle(nodes: list[int], edges: frozenset[tuple[int, int]]) -> tuple[int
     return None
 
 
-def check_scc(scc: tuple[int, ...], g: DependencyGraph, indices: IndexAssignment) -> SccCheck:
+def check_scc(scc: tuple[int, ...], g: DependencyGraph, indices: dict[str, int]) -> SccCheck:
     """Decide the decrease condition for one component under an index choice.
 
     Every node must weakly decrease from its caller index to its callee
@@ -330,6 +304,10 @@ def check_scc(scc: tuple[int, ...], g: DependencyGraph, indices: IndexAssignment
     """
     strict: list[int] = []
     weak: list[int] = []
+
+    def result(**found) -> SccCheck:
+        return SccCheck(scc, tuple(sorted(indices.items())), tuple(strict), tuple(weak), **found)
+
     for i in scc:
         dp = g.nodes[i]
         for symbol in (dp.lhs_symbol, dp.rhs_symbol):
@@ -346,25 +324,13 @@ def check_scc(scc: tuple[int, ...], g: DependencyGraph, indices: IndexAssignment
         elif embeds_weak(p, q):
             weak.append(i)
         else:
-            return SccCheck(False, tuple(strict), tuple(weak), failing_node=i)
+            return result(failing_node=i)
     # Only the weak nodes' own edges: scanning all of g.edges here would cost
     # O(E) per component and candidate assignment.
-    cycle = find_cycle(weak, frozenset((v, w) for v in weak for w in g.adjacency[v]))
-    if cycle is not None:
-        return SccCheck(False, tuple(strict), tuple(weak), cycle=cycle)
-    return SccCheck(True, tuple(strict), tuple(weak))
+    return result(cycle=find_cycle(weak, frozenset((v, w) for v in weak for w in g.adjacency[v])))
 
 
-@dataclass(frozen=True)
-class IndexSearchFailure:
-    search_space: int
-    best_indices: IndexAssignment | None = None
-    best_check: SccCheck | None = None
-
-
-def find_indices(
-    scc: tuple[int, ...], g: DependencyGraph
-) -> tuple[IndexAssignment, SccCheck] | IndexSearchFailure:
+def find_indices(scc: tuple[int, ...], g: DependencyGraph) -> SccCheck:
     """Search recursive-argument indices for the component, smallest first.
 
     Candidate counts come from the caller arities seen in the component; a
@@ -372,8 +338,9 @@ def find_indices(
 
     The result is that of trying every assignment in lexicographic order
     with `check_scc`: the first that works, or else the first with the
-    longest prefix of passing nodes.  A depth-first search over the sorted
-    symbols finds it without visiting them all.  Each node carries a table
+    longest prefix of passing nodes, with the number of assignments as its
+    `search_space`.  A depth-first search over the sorted symbols finds it
+    without visiting them all.  Each node carries a table
     of which index pairs weakly decrease and is checked at the later of its
     two symbols; a branch is cut once a decided node fails at a position no
     later than the best prefix found so far, since every assignment below it
@@ -392,13 +359,9 @@ def find_indices(
     symbols = sorted(arity)
     space = math.prod(arity[s] for s in symbols)
     if space == 0:
-        return IndexSearchFailure(search_space=0)
+        return SccCheck(scc, (), (), (), search_space=0)
     if space == 1:  # one candidate: no tables to build
-        indices = dict.fromkeys(symbols, 1)
-        result = check_scc(scc, g, indices)
-        if result.ok:
-            return indices, result
-        return IndexSearchFailure(search_space=1, best_indices=indices, best_check=result)
+        return check_scc(scc, g, dict.fromkeys(symbols, 1))
     level = {s: d for d, s in enumerate(symbols)}
     # checks[d]: (position in scc, caller level, callee level, weak table)
     # for the nodes whose later symbol is symbols[d]
@@ -438,47 +401,28 @@ def find_indices(
             continue
         combo = tuple(c + 1 for c in chosen)
         if fail == size:
-            indices = dict(zip(symbols, combo))
-            result = check_scc(scc, g, indices)
+            result = check_scc(scc, g, dict(zip(symbols, combo)))
             if result.ok:
-                return indices, result
+                return replace(result, search_space=space)
         if fail > best_score:
             best, best_score = combo, fail
     assert best is not None
-    best_indices = dict(zip(symbols, best))
-    return IndexSearchFailure(
-        search_space=space, best_indices=best_indices, best_check=check_scc(scc, g, best_indices)
-    )
+    return replace(check_scc(scc, g, dict(zip(symbols, best))), search_space=space)
 
 
 # ---------------------------------------------------------------------------
 # Verdict
 
 @dataclass(frozen=True)
-class SccCertificate:
-    nodes: tuple[int, ...]
-    indices: tuple[tuple[str, int], ...]
-    strict: tuple[int, ...]
-    weak: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class CriterionFailure:
-    scc: tuple[int, ...]
-    search_space: int
-    message: str
-    best_indices: tuple[tuple[str, int], ...] | None = None
-    failing_node: int | None = None
-    cycle: tuple[int, ...] | None = None
-
-
-@dataclass(frozen=True)
 class Verdict:
-    terminating: bool
     graph: DependencyGraph
     components: tuple[tuple[int, ...], ...]
-    certificates: tuple[SccCertificate, ...]
-    failure: CriterionFailure | None = None
+    certificates: tuple[SccCheck, ...]
+    failure: SccCheck | None = None
+
+    @property
+    def terminating(self) -> bool:
+        return self.failure is None
 
 
 def check_criterion(vsys: ValidatedSystem) -> Verdict:
@@ -489,86 +433,11 @@ def check_criterion(vsys: ValidatedSystem) -> Verdict:
     """
     graph = build_graph(extract_dps(vsys))
     components = tuple(sccs(graph))
-    certificates: list[SccCertificate] = []
+    certificates: list[SccCheck] = []
     for scc in components:
-        if not is_nontrivial(scc, graph):
-            continue
-        found = find_indices(scc, graph)
-        if isinstance(found, IndexSearchFailure):
-            if found.search_space == 0:
-                message = (
-                    "a symbol in the component has no recursive argument positions"
-                )
-            elif found.best_check is not None and found.best_check.failing_node is not None:
-                label = dp_label(graph.nodes[found.best_check.failing_node])
-                message = (
-                    f"no index assignment works; closest candidate fails at node "
-                    f"{found.best_check.failing_node} ({label}), which does not "
-                    "weakly decrease"
-                )
-            else:
-                assert found.best_check is not None
-                cyc = found.best_check.cycle or ()
-                message = (
-                    "no index assignment works; closest candidate leaves the cycle "
-                    f"{' -> '.join(str(i) for i in cyc)} without a strict decrease"
-                )
-            return Verdict(
-                terminating=False,
-                graph=graph,
-                components=components,
-                certificates=tuple(certificates),
-                failure=CriterionFailure(
-                    scc=scc,
-                    search_space=found.search_space,
-                    message=message,
-                    best_indices=tuple(sorted(found.best_indices.items())) if found.best_indices else None,
-                    failing_node=found.best_check.failing_node if found.best_check else None,
-                    cycle=found.best_check.cycle if found.best_check else None,
-                ),
-            )
-        indices, result = found
-        certificates.append(SccCertificate(
-            nodes=scc,
-            indices=tuple(sorted(indices.items())),
-            strict=result.strict,
-            weak=result.weak,
-        ))
-    return Verdict(
-        terminating=True,
-        graph=graph,
-        components=components,
-        certificates=tuple(certificates),
-    )
-
-
-# ---------------------------------------------------------------------------
-# DOT export
-
-_PALETTE = ("lightblue", "lightsalmon", "palegreen", "khaki", "plum", "lightgrey")
-
-
-def to_dot(g: DependencyGraph, verdict: Verdict | None = None) -> str:
-    """Render the graph deterministically; byte-identical across runs."""
-    lines = ["digraph dependency_pairs {"]
-    if verdict is None:
-        components, strict_nodes = sccs(g), set()
-    else:
-        components = verdict.components
-        strict_nodes = {i for cert in verdict.certificates for i in cert.strict}
-    color_of: dict[int, str] = {}
-    nontrivial = [scc for scc in components if is_nontrivial(scc, g)]
-    for rank, scc in enumerate(nontrivial):
-        for i in scc:
-            color_of[i] = _PALETTE[rank % len(_PALETTE)]
-    for i, dp in enumerate(g.nodes):
-        attrs = [f'label="{dp_label(dp)}"']
-        if i in color_of:
-            attrs.append(f'style=filled fillcolor="{color_of[i]}"')
-        if i in strict_nodes:
-            attrs.append("penwidth=2")
-        lines.append(f"  n{i} [{' '.join(attrs)}];")
-    for a, b in sorted(g.edges):
-        lines.append(f"  n{a} -> n{b};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        if is_nontrivial(scc, graph):
+            found = find_indices(scc, graph)
+            if not found.ok:
+                return Verdict(graph, components, tuple(certificates), found)
+            certificates.append(found)
+    return Verdict(graph, components, tuple(certificates))

@@ -16,12 +16,14 @@ import sys
 import time
 from pathlib import Path
 
-from .analysis import Verdict, check_criterion, dp_label, is_nontrivial, to_dot
+from .analysis import check_criterion
 from .report import (
     build_report,
     diagnostic_to_dict,
     parse_error_to_dict,
     report_to_json,
+    to_dot,
+    verdict_lines,
 )
 from .rewrite import FuelExhausted, normalize, pattern_form
 from .syntax import (
@@ -69,11 +71,11 @@ def _positive_int(text: str) -> int:
 
 
 def _load(path: str, say=print) -> RewriteSystem | ParseError | None:
-    """Read and parse a system file.  A file that cannot be read or is not
-    UTF-8 is reported on stderr and gives None; a parse error is reported
-    with `say` and returned."""
+    """Read and parse a system file, skipping a UTF-8 byte-order mark.  A
+    file that cannot be read or is not UTF-8 is reported on stderr and gives
+    None; a parse error is reported with `say` and returned."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return None
@@ -102,31 +104,6 @@ def _write(path: str, data: str | bytes) -> None:
         raise _Unwritable(f"cannot write {path}: {exc}") from None
 
 
-def _print_verdict(say, path: str, system: RewriteSystem, verdict: Verdict) -> None:
-    graph = verdict.graph
-    nontrivial = [c for c in verdict.components if is_nontrivial(c, graph)]
-    say(("TERMINATING: " if verdict.terminating else "UNKNOWN: ") + path)
-    say(f"  rules: {len(system.rules)}, symbols: {len(list(system.signature))}")
-    say(f"  dependency pairs: {len(graph.nodes)}, edges: {len(graph.edges)}")
-    say(f"  nontrivial SCCs: {len(nontrivial)}")
-    for cert in verdict.certificates:
-        nodes = "{" + ", ".join(map(str, cert.nodes)) + "}"
-        indices = ", ".join(f"ι[{sym}]={i}" for sym, i in cert.indices)
-        line = f"  SCC {nodes}: {indices}; strict: {list(cert.strict)}"
-        if cert.weak:
-            line += f"; weak: {list(cert.weak)}"
-        say(line)
-    if verdict.failure is not None:
-        f = verdict.failure
-        nodes = "{" + ", ".join(map(str, f.scc)) + "}"
-        say(f"  failing SCC {nodes} ({f.search_space} assignments tried)")
-        say(f"  reason: {f.message}")
-        if f.cycle:
-            say("  residual cycle: " + " -> ".join(map(str, f.cycle)))
-        for i in f.scc:
-            say(f"    node {i}: {dp_label(graph.nodes[i])}")
-
-
 def cmd_check(args: argparse.Namespace) -> int:
     say = (lambda message: None) if args.json == "-" else print  # stdout carries only the report
     started = time.perf_counter()
@@ -145,7 +122,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         found = {"system": system, "validated": validated, "verdict": verdict}
     elapsed = time.perf_counter() - started
     if verdict is not None:
-        _print_verdict(say, args.path, system, verdict)
+        for line in verdict_lines(args.path, system, verdict):
+            say(line)
     # The report goes out before the graph files, so an unwritable picture cannot lose it.
     if args.json:
         report = report_to_json(build_report(args.path, outcome, elapsed=elapsed, **found))
@@ -154,7 +132,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         else:
             _write(args.json, report)
     if verdict is not None and args.dot:
-        _write(args.dot, to_dot(verdict.graph, verdict))
+        _write(args.dot, to_dot(verdict))
         say(f"  wrote DOT to {args.dot}")
     if verdict is not None and args.png:
         _write(args.png, render_graph_png(verdict))
@@ -170,7 +148,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
     if isinstance(validated, list):
         return EXIT_INVALID
     verdict = check_criterion(validated)
-    dot = to_dot(verdict.graph, verdict)
+    dot = to_dot(verdict)
     if args.dot:
         _write(args.dot, dot)
         print(f"wrote DOT to {args.dot} ({len(verdict.graph.nodes)} nodes, {len(verdict.graph.edges)} edges)")

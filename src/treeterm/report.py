@@ -1,4 +1,5 @@
-"""Structured result documents for the command-line front end.
+"""Everything that shows a verdict: pair labels, the failure message, node
+styles, the DOT graph, the `check` text and the structured JSON report.
 
 A report is a plain JSON-serializable dict; the layout is versioned so
 downstream consumers can detect changes.  Everything except the timing
@@ -9,12 +10,90 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .analysis import Verdict, dp_label, is_nontrivial, sccs
+from .analysis import DependencyPair, Verdict, is_nontrivial, sccs
 from .syntax import ParseError, print_pattern, print_rule, print_type
-from .terms import RewriteSystem
+from .terms import Pattern, RewriteSystem
 from .typecheck import Diagnostic, ValidatedSystem
 
 SCHEMA_VERSION = 1
+_PALETTE = ("lightblue", "lightsalmon", "palegreen", "khaki", "plum", "lightgrey")
+
+
+def dp_label(dp: DependencyPair) -> str:
+    def side(symbol: str, args: tuple[Pattern, ...]) -> str:
+        rendered = ",".join(print_pattern(p) for p in args)
+        return f"{symbol}♯({rendered})" if args else f"{symbol}♯"
+
+    return f"{side(dp.lhs_symbol, dp.lhs_args)} -> {side(dp.rhs_symbol, dp.rhs_args)}"
+
+
+def failure_message(verdict: Verdict) -> str:
+    """Why the criterion gave up on `verdict.failure`, in one sentence."""
+    f = verdict.failure
+    if f.search_space == 0:
+        return "a symbol in the component has no recursive argument positions"
+    if f.failing_node is not None:
+        return (
+            f"no index assignment works; closest candidate fails at node {f.failing_node} "
+            f"({dp_label(verdict.graph.nodes[f.failing_node])}), which does not weakly decrease"
+        )
+    return (
+        "no index assignment works; closest candidate leaves the cycle "
+        f"{' -> '.join(map(str, f.cycle))} without a strict decrease"
+    )
+
+
+def node_styles(verdict: Verdict) -> tuple[dict[int, str], set[int]]:
+    """The fill colour of every node in a nontrivial component, one palette
+    colour per component in order, and the nodes a certificate decreases
+    strictly on."""
+    graph = verdict.graph
+    nontrivial = (scc for scc in verdict.components if is_nontrivial(scc, graph))
+    fill = {i: _PALETTE[rank % len(_PALETTE)] for rank, scc in enumerate(nontrivial) for i in scc}
+    return fill, {i for cert in verdict.certificates for i in cert.strict}
+
+
+def to_dot(verdict: Verdict) -> str:
+    """Render the graph deterministically; byte-identical across runs."""
+    fill, strict = node_styles(verdict)
+    lines = ["digraph dependency_pairs {"]
+    for i, dp in enumerate(verdict.graph.nodes):
+        attrs = [f'label="{dp_label(dp)}"']
+        if i in fill:
+            attrs.append(f'style=filled fillcolor="{fill[i]}"')
+        if i in strict:
+            attrs.append("penwidth=2")
+        lines.append(f"  n{i} [{' '.join(attrs)}];")
+    lines.extend(f"  n{a} -> n{b};" for a, b in sorted(verdict.graph.edges))
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def verdict_lines(path: str, system: RewriteSystem, verdict: Verdict) -> list[str]:
+    """The text `check` prints for a verdict."""
+    graph = verdict.graph
+    lines = [
+        ("TERMINATING: " if verdict.terminating else "UNKNOWN: ") + path,
+        f"  rules: {len(system.rules)}, symbols: {len(list(system.signature))}",
+        f"  dependency pairs: {len(graph.nodes)}, edges: {len(graph.edges)}",
+        f"  nontrivial SCCs: {sum(is_nontrivial(c, graph) for c in verdict.components)}",
+    ]
+    for cert in verdict.certificates:
+        nodes = "{" + ", ".join(map(str, cert.nodes)) + "}"
+        indices = ", ".join(f"ι[{sym}]={i}" for sym, i in cert.indices)
+        line = f"  SCC {nodes}: {indices}; strict: {list(cert.strict)}"
+        if cert.weak:
+            line += f"; weak: {list(cert.weak)}"
+        lines.append(line)
+    if verdict.failure is not None:
+        f = verdict.failure
+        nodes = "{" + ", ".join(map(str, f.nodes)) + "}"
+        lines.append(f"  failing SCC {nodes} ({f.search_space} assignments tried)")
+        lines.append(f"  reason: {failure_message(verdict)}")
+        if f.cycle:
+            lines.append("  residual cycle: " + " -> ".join(map(str, f.cycle)))
+        lines.extend(f"    node {i}: {dp_label(graph.nodes[i])}" for i in f.nodes)
+    return lines
 
 
 def diagnostic_to_dict(d: Diagnostic) -> dict[str, Any]:
@@ -115,10 +194,10 @@ def build_report(
         if verdict.failure is not None:
             f = verdict.failure
             report["failure"] = {
-                "scc": list(f.scc),
+                "scc": list(f.nodes),
                 "searchSpace": f.search_space,
-                "message": f.message,
-                "bestIndices": dict(f.best_indices) if f.best_indices else None,
+                "message": failure_message(verdict),
+                "bestIndices": dict(f.indices) if f.indices else None,
                 "failingNode": f.failing_node,
                 "cycle": list(f.cycle) if f.cycle else None,
             }

@@ -221,6 +221,26 @@ def term_free_pattern_vars(t: AnnotatedTerm) -> frozenset[str]:
     return frozenset()
 
 
+def call_sites(t: AnnotatedTerm) -> list[tuple[SymbolRef, tuple[Pattern, ...]]]:
+    """Every symbol occurrence in t, left to right, with the patterns it is
+    applied to directly."""
+    out: list[tuple[SymbolRef, tuple[Pattern, ...]]] = []
+
+    def visit(u: AnnotatedTerm, applied: tuple[Pattern, ...]) -> None:
+        if isinstance(u, SymbolRef):
+            out.append((u, applied))
+        elif isinstance(u, PatApp):
+            visit(u.fun, (u.pattern,) + applied)
+        elif isinstance(u, App):
+            visit(u.fun, ())
+            visit(u.arg, ())
+        elif isinstance(u, (Lam, PatLam)):
+            visit(u.body, ())
+
+    visit(t, ())
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Constructor terms (rule left-hand side arguments)
 

@@ -39,6 +39,7 @@ from .terms import (
     Signature,
     SymbolRef,
     TermVar,
+    call_sites,
     constructor_term_vars,
     fresh_name,
     pattern_subst,
@@ -52,19 +53,10 @@ from .terms import (
 
 
 class TypeCheckError(Exception):
-    def __init__(
-        self,
-        code: str,
-        message: str,
-        loc: Loc | None = None,
-        expected: RefinementType | None = None,
-        actual: RefinementType | None = None,
-    ):
+    def __init__(self, code: str, message: str, loc: Loc | None = None):
         self.code = code
         self.message = message
         self.loc = loc
-        self.expected = expected
-        self.actual = actual
         where = f"{loc}: " if loc else ""
         super().__init__(f"{where}{code}: {message}")
 
@@ -298,7 +290,6 @@ def synthesize(sig: Signature, ctx: Context, t: AnnotatedTerm) -> RefinementType
                 f"term {print_term(t.fun)!r} of type {print_type(fun_ty)} is applied "
                 "to an argument but has no function type",
                 loc=t.loc,
-                actual=fun_ty,
             )
         arg_ty = synthesize(sig, ctx, t.arg)
         if not type_sub(arg_ty, fun_ty.dom):
@@ -307,8 +298,6 @@ def synthesize(sig: Signature, ctx: Context, t: AnnotatedTerm) -> RefinementType
                 f"argument {print_term(t.arg)!r} has type {print_type(arg_ty)}, "
                 f"which is not a subtype of {print_type(fun_ty.dom)}",
                 loc=t.loc,
-                expected=fun_ty.dom,
-                actual=arg_ty,
             )
         return fun_ty.cod
     if isinstance(t, PatApp):
@@ -319,7 +308,6 @@ def synthesize(sig: Signature, ctx: Context, t: AnnotatedTerm) -> RefinementType
                 f"term {print_term(t.fun)!r} of type {print_type(fun_ty)} is applied "
                 "to a pattern but is not quantified",
                 loc=t.loc,
-                actual=fun_ty,
             )
         return type_subst(fun_ty.body, {fun_ty.binder: t.pattern})
     if isinstance(t, Lam):
@@ -491,18 +479,6 @@ class ValidatedSystem:
         return self.system.signature
 
 
-def _pattern_app_arities(t: AnnotatedTerm, out: list[tuple[str, int, Loc | None]], depth: int = 0) -> None:
-    if isinstance(t, SymbolRef):
-        out.append((t.name, depth, t.loc))
-    elif isinstance(t, PatApp):
-        _pattern_app_arities(t.fun, out, depth + 1)
-    elif isinstance(t, App):
-        _pattern_app_arities(t.fun, out, 0)
-        _pattern_app_arities(t.arg, out, 0)
-    elif isinstance(t, (Lam, PatLam)):
-        _pattern_app_arities(t.body, out, 0)
-
-
 def validate_rule(rule: RewriteRule, sig: Signature, index: int = 0) -> ValidatedRule | list[Diagnostic]:
     """Check one rule; returns the validated rule or the list of problems."""
     try:
@@ -533,16 +509,14 @@ def validate_rule(rule: RewriteRule, sig: Signature, index: int = 0) -> Validate
             symbol=rule.head,
         ))
 
-    occurrences: list[tuple[str, int, Loc | None]] = []
-    _pattern_app_arities(rule.rhs, occurrences)
-    for name, applied, loc in occurrences:
-        info = sig.get(name)
-        if info is not None and applied != info.quantifier_count:
+    for ref, patterns in call_sites(rule.rhs):
+        info = sig.get(ref.name)
+        if info is not None and len(patterns) != info.quantifier_count:
             diags.append(Diagnostic(
                 "E-PARTIAL-PATTERN-APP",
-                f"symbol {name!r} is applied to {applied} pattern arguments, "
+                f"symbol {ref.name!r} is applied to {len(patterns)} pattern arguments, "
                 f"expected {info.quantifier_count}",
-                loc=loc or rule.loc,
+                loc=ref.loc or rule.loc,
                 rule_index=index,
                 symbol=rule.head,
             ))

@@ -12,7 +12,8 @@ import math
 import struct
 import zlib
 
-from .analysis import _PALETTE, Verdict, is_nontrivial
+from .analysis import Verdict
+from .report import node_styles
 
 _RGB = {
     "lightblue": (173, 216, 230), "lightsalmon": (255, 160, 122), "palegreen": (152, 251, 152),
@@ -109,14 +110,10 @@ def render_graph_png(verdict: Verdict) -> bytes:
         else:
             canvas.arrow(*pos[a], *pos[b])
 
-    fill: dict[int, tuple[int, int, int]] = {}
-    nontrivial = (c for c in verdict.components if is_nontrivial(c, graph))
-    for rank, scc in enumerate(nontrivial):
-        for i in scc:
-            fill[i] = _RGB[_PALETTE[rank % len(_PALETTE)]]
-    strict = {i for cert in verdict.certificates for i in cert.strict}
+    fill, strict = node_styles(verdict)
     for i, (x, y) in enumerate(pos):
         bold = i in strict
-        canvas.ring(x, y, _R, 4 if bold else 1.5, _BLACK if bold else _GREY, fill.get(i, _WHITE))
+        colour = _RGB[fill[i]] if i in fill else _WHITE
+        canvas.ring(x, y, _R, 4 if bold else 1.5, _BLACK if bold else _GREY, colour)
         canvas.number(x, y, str(i))
     return canvas.png()

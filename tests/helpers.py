@@ -7,13 +7,12 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from dataclasses import replace
 from itertools import count, permutations, product
 
 from treeterm.analysis import (
     DependencyGraph,
     DependencyPair,
-    IndexAssignment,
-    IndexSearchFailure,
     SccCheck,
     check_scc,
     pattern_unifiable,
@@ -643,9 +642,7 @@ def reference_edges(dps: tuple[DependencyPair, ...]) -> frozenset[tuple[int, int
     )
 
 
-def reference_find_indices(
-    scc: tuple[int, ...], g: DependencyGraph
-) -> tuple[IndexAssignment, SccCheck] | IndexSearchFailure:
+def reference_find_indices(scc: tuple[int, ...], g: DependencyGraph) -> SccCheck:
     """The index search by running `check_scc` on every assignment in
     lexicographic order."""
     arity: dict[str, int] = {}
@@ -662,17 +659,16 @@ def reference_find_indices(
     for s in symbols:
         space *= arity[s]
     if space == 0:
-        return IndexSearchFailure(search_space=0)
-    best: tuple[IndexAssignment, SccCheck] | None = None
+        return SccCheck(scc, (), (), (), search_space=0)
+    best: SccCheck | None = None
     for combo in product(*(range(1, arity[s] + 1) for s in symbols)):
-        indices = dict(zip(symbols, combo))
-        result = check_scc(scc, g, indices)
+        result = replace(check_scc(scc, g, dict(zip(symbols, combo))), search_space=space)
         if result.ok:
-            return indices, result
-        if best is None or len(result.strict) + len(result.weak) > len(best[1].strict) + len(best[1].weak):
-            best = (indices, result)
+            return result
+        if best is None or len(result.strict) + len(result.weak) > len(best.strict) + len(best.weak):
+            best = result
     assert best is not None
-    return IndexSearchFailure(search_space=space, best_indices=best[0], best_check=best[1])
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,9 @@ from treeterm import analysis
 from treeterm.analysis import (
     DependencyGraph,
     DependencyPair,
-    IndexSearchFailure,
     build_graph,
     check_criterion,
     check_scc,
-    dp_label,
     embeds_strict,
     embeds_weak,
     extract_dps,
@@ -20,8 +18,8 @@ from treeterm.analysis import (
     is_nontrivial,
     pattern_unifiable,
     sccs,
-    to_dot,
 )
+from treeterm.report import dp_label, failure_message, to_dot
 from treeterm.syntax import parse_pattern, parse_system, print_pattern
 from treeterm.terms import pattern_subst
 from treeterm.typecheck import validate_system
@@ -356,11 +354,10 @@ def test_check_scc_rejects_missing_index(fgih_validated):
 def test_find_indices_fgih(fgih_validated):
     g = build_graph(extract_dps(fgih_validated))
     found = find_indices((0, 2), g)
-    assert isinstance(found, tuple)
-    indices, result = found
-    assert indices == {"f": 1, "g": 1}
-    assert result.ok
-    assert result.strict == (2,)
+    assert found.nodes == (0, 2)
+    assert found.indices == (("f", 1), ("g", 1))
+    assert found.ok
+    assert found.strict == (2,)
 
 
 def test_find_indices_reports_best_near_miss():
@@ -370,10 +367,10 @@ def test_find_indices_reports_best_near_miss():
     )
     g = build_graph(extract_dps(vs))
     found = find_indices((0,), g)
-    assert isinstance(found, IndexSearchFailure)
+    assert not found.ok
     assert found.search_space == 1
-    assert found.best_indices == {"f": 1}
-    assert not found.best_check.ok
+    assert found.indices == (("f", 1),)
+    assert found.failing_node == 0
 
 
 @pytest.mark.parametrize("j", [None, 3])
@@ -408,10 +405,10 @@ def test_criterion_wide_12x4_without_shrinking():
     assert not verdict.terminating
     failure = verdict.failure
     assert failure.search_space == 4 ** 12
-    assert dict(failure.best_indices) == {f"f{i}": 1 for i in range(12)}
+    assert dict(failure.indices) == {f"f{i}": 1 for i in range(12)}
     assert failure.failing_node is None
     assert sorted(failure.cycle) == list(range(12))
-    assert "without a strict decrease" in failure.message
+    assert "without a strict decrease" in failure_message(verdict)
 
 
 def test_criterion_app(app_validated):
@@ -442,10 +439,10 @@ def test_criterion_weak_only_loop_is_inconclusive():
     assert not verdict.terminating
     failure = verdict.failure
     assert failure is not None
-    assert failure.scc == (0,)
+    assert failure.nodes == (0,)
     assert failure.search_space == 1
     assert failure.cycle == (0,)
-    assert "without a strict decrease" in failure.message
+    assert "without a strict decrease" in failure_message(verdict)
 
 
 def test_criterion_growing_argument_is_inconclusive():
@@ -459,7 +456,7 @@ def test_criterion_growing_argument_is_inconclusive():
     assert failure is not None
     assert failure.search_space == 1
     assert failure.failing_node == 0
-    assert "does not weakly decrease" in failure.message
+    assert "does not weakly decrease" in failure_message(verdict)
 
 
 def test_criterion_zero_recursive_positions_is_inconclusive():
@@ -467,7 +464,7 @@ def test_criterion_zero_recursive_positions_is_inconclusive():
     verdict = check_criterion(vs)
     assert not verdict.terminating
     assert verdict.failure.search_space == 0
-    assert "no recursive argument positions" in verdict.failure.message
+    assert "no recursive argument positions" in failure_message(verdict)
 
 
 def test_criterion_ring_2000():
@@ -490,15 +487,11 @@ def test_criterion_no_rules_trivially_terminating():
 # DOT export
 
 def test_to_dot_is_deterministic(fgih_validated):
-    g = build_graph(extract_dps(fgih_validated))
-    verdict = check_criterion(fgih_validated)
-    assert to_dot(g, verdict) == to_dot(g, verdict)
+    assert to_dot(check_criterion(fgih_validated)) == to_dot(check_criterion(fgih_validated))
 
 
 def test_to_dot_contents(fgih_validated):
-    g = build_graph(extract_dps(fgih_validated))
-    verdict = check_criterion(fgih_validated)
-    dot = to_dot(g, verdict)
+    dot = to_dot(check_criterion(fgih_validated))
     assert dot.startswith("digraph dependency_pairs {")
     assert dot.rstrip().endswith("}")
     assert '"g♯(leaf) -> f♯(bot)"' in dot  # node labels use pair notation
@@ -507,8 +500,8 @@ def test_to_dot_contents(fgih_validated):
     assert "fillcolor" in dot  # nontrivial components shaded
 
 
-def test_to_dot_without_verdict(app_validated):
-    g = build_graph(extract_dps(app_validated))
-    dot = to_dot(g)
+def test_to_dot_without_nontrivial_components(app_validated):
+    dot = to_dot(check_criterion(app_validated))
     assert "penwidth=2" not in dot
+    assert "fillcolor" not in dot
     assert dot.count("n0") >= 1

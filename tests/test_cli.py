@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import math
+import re
 import struct
 import subprocess
 import sys
@@ -96,6 +98,16 @@ def test_undecodable_input_exits_3(capsys, tmp_path, extra):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xe9")
+
+
+def test_byte_order_mark_is_skipped(capsys, tmp_path):
+    # some editors start UTF-8 files with EF BB BF
+    marked = tmp_path / "app.trs"
+    marked.write_bytes(b"\xef\xbb\xbf" + APP_PATH.read_bytes())
+    _, plain, _ = run(capsys, "check", APP)
+    code, out, err = run(capsys, "check", str(marked))
+    assert (code, err) == (0, "")
+    assert out == plain.replace(APP, str(marked))
 
 
 def test_check_parse_error(capsys, tmp_path):
@@ -248,6 +260,41 @@ def test_graph_png_is_well_formed(capsys, tmp_path):
     # components are filled with their DOT colours: lightblue, lightsalmon, palegreen
     for rgb in ((173, 216, 230), (255, 160, 122), (152, 251, 152)):
         assert bytes(rgb) in pixels
+
+
+# The X11 values of the DOT palette's colours.
+X11_RGB = {
+    "lightblue": (173, 216, 230), "lightsalmon": (255, 160, 122), "palegreen": (152, 251, 152),
+    "khaki": (240, 230, 140), "plum": (221, 160, 221), "lightgrey": (211, 211, 211),
+}
+
+
+def test_png_fills_each_node_with_its_dot_colour(capsys, tmp_path):
+    dot, png = tmp_path / "g.dot", tmp_path / "g.png"
+    assert run(capsys, "graph", FGIH, "--dot", str(dot), "--png", str(png))[0] == 0
+    nodes = re.findall(r"^  n(\d+) \[(.*)\];$", dot.read_text(), re.M)
+    chunks = png_chunks(png.read_bytes())
+    width, height = struct.unpack(">II", chunks[0][1][:8])
+    rows = zlib.decompress(b"".join(p for kind, p in chunks if kind == b"IDAT"))
+    stride = 1 + 3 * width
+    assert all(rows[y * stride] == 0 for y in range(height))  # no row filter
+
+    def pixel(x: float, y: float) -> tuple[int, ...]:
+        i = round(y) * stride + 1 + 3 * round(x)
+        return tuple(rows[i:i + 3])
+
+    # Discs of radius 16 on a circle in index order, starting at the top,
+    # 48 pixels in from the edges; the digits fill at most 14×10 pixels
+    # around each centre.
+    centre, radius = width / 2, width / 2 - 48
+    assert len(nodes) == 9
+    for i, attrs in nodes:
+        colour = re.search(r'fillcolor="(\w+)"', attrs)
+        want = X11_RGB[colour.group(1)] if colour else (255, 255, 255)
+        angle = 2 * math.pi * int(i) / len(nodes) - math.pi / 2
+        x, y = centre + radius * math.cos(angle), centre + radius * math.sin(angle)
+        for dx, dy in ((0, -9), (0, 9), (-10, 0), (10, 0)):
+            assert pixel(x + dx, y + dy) == want, (i, dx, dy)
 
 
 def test_graph_png_is_deterministic(capsys, tmp_path):

@@ -10,6 +10,8 @@ distinct ring, clique and wide system of perfbench seeds 1-3, built by
 
 - `check --json -` without `timing`, and its exit code;
 - the `check` text, its exit code and the `check --dot` file;
+- the SHA-256 of the `check --png` file, for `systems/*.trs` and for every
+  system whose report has at most 300 edges (larger pictures take seconds);
 - `graph` stdout and exit code;
 - `typecheck` stdout and exit code, for `systems/*.trs` only.
 
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import contextlib
 import difflib
+import hashlib
 import importlib.util
 import io
 import itertools
@@ -39,6 +42,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
 SHOWN = 5  # differing records printed in full
+PNG_MAX_EDGES = 300  # a clique-20 graph, 8000 edges, takes over 10 s to draw
 
 
 def load_workloads():
@@ -63,7 +67,8 @@ def readme_reductions() -> list[list[str]]:
 
 def build_inputs(work: Path) -> list[tuple[str, list[str], bool]]:
     """Write every input under `work` and list the runs as (kind, argv,
-    with_typecheck), with paths relative to a child directory of `work`."""
+    fixture), with paths relative to a child directory of `work`; `fixture`
+    marks `systems/*.trs`."""
     workloads = load_workloads()
     shutil.copytree(ROOT / "systems", work / "systems")
     shutil.copytree(ROOT / "perfbench" / "fixtures", work / "fixtures")
@@ -84,8 +89,8 @@ def build_inputs(work: Path) -> list[tuple[str, list[str], bool]]:
                 (generated / f"{name}.trs").write_text(op.text, encoding="utf-8")
                 systems.append((f"../generated/{name}.trs", False))
     runs = []
-    for path, with_typecheck in systems:
-        runs.append(("system", [path], with_typecheck))
+    for path, fixture in systems:
+        runs.append(("system", [path], fixture))
     for argv in readme_reductions():
         runs.append(("reduce", [argv[0], "../" + argv[1], *argv[2:]], False))
     for op in workloads.reduce_ops():
@@ -109,24 +114,37 @@ def call(main, argv: list[str]) -> dict:
     return {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
-def records(main, kind: str, argv: list[str], with_typecheck: bool):
+def written(main, path: str, flag: str, name: str):
+    """Run `check path flag name`, then record the file it wrote: its text,
+    or the SHA-256 of its bytes for a PNG; None when it wrote none."""
+    out = Path(name)
+    out.unlink(missing_ok=True)
+    yield call(main, ["check", path, flag, name])
+    content = None
+    if out.exists():
+        data = out.read_bytes()
+        content = hashlib.sha256(data).hexdigest() if flag == "--png" else data.decode("utf-8")
+    yield {"argv": [f"check {flag} file of", path], "stdout": content}
+
+
+def records(main, kind: str, argv: list[str], fixture: bool):
     if kind == "reduce":
         yield call(main, argv)
         return
     (path,) = argv
     report = call(main, ["check", path, "--json", "-"])
+    edges = None
     with contextlib.suppress(ValueError):  # no report when the file cannot be read
         doc = json.loads(report["stdout"])
         doc.pop("timing", None)
         report["stdout"] = json.dumps(doc, indent=1, ensure_ascii=False) + "\n"
+        edges = len(doc["edges"])
     yield report
-    dot = Path("check.dot")
-    dot.unlink(missing_ok=True)
-    yield call(main, ["check", path, "--dot", str(dot)])
-    yield {"argv": ["check --dot file of", path],
-           "stdout": dot.read_text(encoding="utf-8") if dot.exists() else None}
+    yield from written(main, path, "--dot", "check.dot")
+    if fixture or (edges is not None and edges <= PNG_MAX_EDGES):
+        yield from written(main, path, "--png", "check.png")
     yield call(main, ["graph", path])
-    if with_typecheck:
+    if fixture:
         yield call(main, ["typecheck", path])
 
 
@@ -137,8 +155,8 @@ def child(src: str, runs_file: str, out_file: str) -> None:
 
     runs = json.loads(Path(runs_file).read_text(encoding="utf-8"))
     with open(out_file, "w", encoding="utf-8") as out:
-        for kind, argv, with_typecheck in runs:
-            for record in records(main, kind, argv, with_typecheck):
+        for kind, argv, fixture in runs:
+            for record in records(main, kind, argv, fixture):
                 out.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
@@ -147,7 +165,8 @@ def child(src: str, runs_file: str, out_file: str) -> None:
 
 def run_sides(sides: dict[str, Path], work: Path) -> bool:
     """One child per side, both at once, each in its own directory under
-    `work` (so their `check.dot` files stay apart), writing `out.jsonl`."""
+    `work` (so their `check.dot` and `check.png` files stay apart), writing
+    `out.jsonl`."""
     children = []
     for name, src in sides.items():
         (work / name).mkdir()
