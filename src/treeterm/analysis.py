@@ -65,7 +65,7 @@ def extract_dps(vsys: ValidatedSystem) -> tuple[DependencyPair, ...]:
         for ref, args in call_sites(vr.rule.rhs):
             if ref.name not in vsys.signature:
                 continue
-            lhs, rhs = _canonicalize(vr.min.recursive_patterns, args)
+            lhs, rhs = _canonicalize(vr.recursive_patterns, args)
             dp = DependencyPair(vr.rule.head, lhs, ref.name, rhs, rule_index=vr.index)
             if dp not in seen:
                 seen.add(dp)

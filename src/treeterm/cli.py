@@ -5,8 +5,9 @@ or the requested output produced), 1 when the criterion or the reducer runs
 out of road (inconclusive verdict, spent fuel), 2 for validation and typing
 errors, 3 for input that cannot be read, decoded as UTF-8 or parsed, 4 when
 an output cannot be written (a file, or stdout closed early), 5 when the
-input nests too deeply to process, 64 for a malformed command line (the
-sysexits EX_USAGE).
+input nests too deeply to process or treeterm fails in an unexpected way
+(an internal error), 64 for a malformed command line (the sysexits
+EX_USAGE).
 """
 from __future__ import annotations
 
@@ -197,9 +198,9 @@ def cmd_typecheck(args: argparse.Namespace) -> int:
         return EXIT_INVALID
     for vr in validated.rules:
         print(f"rule {vr.index}: {print_rule(vr.rule)}")
-        context = str(vr.min.context)
+        context = str(vr.context)
         print(f"  context: {context if context else '(empty)'}")
-        print(f"  lhs type: {print_type(vr.min.lhs_type)}")
+        print(f"  lhs type: {print_type(vr.lhs_type)}")
         print("  rhs: ok")
     print(f"ok: {len(validated.rules)} rule(s), {len(list(system.signature))} symbol(s)")
     return EXIT_OK
@@ -258,6 +259,9 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError:
         # the parser, typechecker and reducer recurse along the term structure
         print("error: input nests too deeply", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:  # a fault in treeterm; exit 1 would read as UNKNOWN
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

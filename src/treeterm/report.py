@@ -157,8 +157,8 @@ def build_report(
             {
                 "index": vr.index,
                 "rule": print_rule(vr.rule),
-                "context": str(vr.min.context),
-                "lhsType": print_type(vr.min.lhs_type),
+                "context": str(vr.context),
+                "lhsType": print_type(vr.lhs_type),
                 "rhsChecked": True,
             }
             for vr in validated.rules

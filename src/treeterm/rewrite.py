@@ -160,33 +160,14 @@ def normalize(t: ErasedTerm, sys: RewriteSystem, fuel: int = 10000) -> Reduction
     return NormalForms(frozenset(normals))
 
 
-def is_value(t: ErasedTerm) -> bool:
-    """Lambdas, Leaf, and fully applied Node are the values; a partially
-    applied Node is not."""
-    if isinstance(t, (ELam, ELeaf)):
-        return True
-    return isinstance(t, EApp) and isinstance(t.fun, EApp) and isinstance(t.fun.fun, ENode)
-
-
-def is_neutral(t: ErasedTerm) -> bool:
-    return not is_value(t)
-
-
-def node_parts(t: ErasedTerm) -> tuple[ErasedTerm, ErasedTerm] | None:
-    """The two children when t is a fully applied Node, else None."""
-    if isinstance(t, EApp) and isinstance(t.fun, EApp) and isinstance(t.fun.fun, ENode):
-        return t.fun.arg, t.arg
-    return None
-
-
 def pattern_form(v: ErasedTerm) -> Pattern:
-    """The pattern shape of a normal form: neutral terms are opaque, trees
-    map to their spine, lambdas to the wildcard."""
-    if is_neutral(v):
-        return PBottom()
+    """The pattern shape of a normal form: trees map to their spine, lambdas
+    to the wildcard, and neutral terms, which are opaque, to the empty
+    pattern."""
     if isinstance(v, ELeaf):
         return PLeaf()
-    parts = node_parts(v)
-    if parts is not None:
-        return PNode(pattern_form(parts[0]), pattern_form(parts[1]))
-    return PWild()
+    if isinstance(v, ELam):
+        return PWild()
+    if isinstance(v, EApp) and isinstance(v.fun, EApp) and isinstance(v.fun.fun, ENode):
+        return PNode(pattern_form(v.fun.arg), pattern_form(v.arg))
+    return PBottom()

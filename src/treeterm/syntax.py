@@ -106,23 +106,13 @@ def tokenize(text: str) -> list[Token]:
                 line += newlines
                 line_start = m.start() + value.rindex("\n") + 1
             continue
-        if group == "ident":
-            if value == "_":
-                tokens.append(Token("_", value, line, col))
-            elif value in KEYWORDS:
-                tokens.append(Token(value, value, line, col))
-            else:
-                tokens.append(Token("ident", value, line, col))
-        elif group == "punct":
-            tokens.append(Token(value, value, line, col))
-        elif group == "arrow":
-            tokens.append(Token("->", value, line, col))
-        elif group == "lam":
-            tokens.append(Token("\\", value, line, col))
-        elif group == "patlam":
-            tokens.append(Token("/\\", value, line, col))
-        else:
-            tokens.append(Token("nat", value, line, col))
+        if group == "nat":
+            kind = "nat"
+        elif group == "ident" and value != "_" and value not in KEYWORDS:
+            kind = "ident"
+        else:  # keywords, "_", punctuation, arrows and lambdas are their own kind
+            kind = value
+        tokens.append(Token(kind, value, line, col))
     tokens.append(Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 
@@ -500,39 +490,25 @@ def print_term(t: AnnotatedTerm) -> str:
         return f"\\{t.binder}:{annot}. {print_term(t.body)}"
     if isinstance(t, PatLam):
         return f"/\\{t.binder}. {print_term(t.body)}"
-    # application spine with pattern groups merged
-    items: list[tuple[str, object]] = []
+    # application spine, outermost argument first; adjacent pattern
+    # arguments print as one [p,...] group
+    parts: list[str] = []
     u: AnnotatedTerm = t
-    while True:
+    while isinstance(u, (App, PatApp)):
         if isinstance(u, App):
-            items.append(("term", u.arg))
+            text = print_term(u.arg)
+            parts.append(" " + (text if _term_is_atom(u.arg) else f"({text})"))
             u = u.fun
-        elif isinstance(u, PatApp):
-            group = [u.pattern]
-            v = u.fun
-            while isinstance(v, PatApp):
-                group.append(v.pattern)
-                v = v.fun
-            group.reverse()
-            items.append(("patterns", group))
-            u = v
         else:
-            break
-    items.reverse()
+            group: list[str] = []
+            while isinstance(u, PatApp):
+                group.append(print_pattern(u.pattern))
+                u = u.fun
+            parts.append("[" + ",".join(reversed(group)) + "]")
     head = print_term(u)
     if not _term_is_atom(u):
         head = f"({head})"
-    parts = [head]
-    for kind, payload in items:
-        if kind == "patterns":
-            parts[-1] += "[" + ",".join(print_pattern(p) for p in payload) + "]"  # type: ignore[union-attr]
-        else:
-            arg = payload
-            text = print_term(arg)  # type: ignore[arg-type]
-            if not _term_is_atom(arg):  # type: ignore[arg-type]
-                text = f"({text})"
-            parts.append(text)
-    return " ".join(parts)
+    return head + "".join(reversed(parts))
 
 
 def print_constructor(l: ConstructorTerm) -> str:

@@ -256,7 +256,7 @@ class ConLeaf:
 
 @dataclass(frozen=True)
 class ConNode:
-    # annotations are None when the source omitted them; minimal typing fills them in
+    # annotations are None when the source omitted them; minimal typing checks the others
     ann_left: Pattern | None
     ann_right: Pattern | None
     left: ConstructorTerm
@@ -264,22 +264,6 @@ class ConNode:
 
 
 ConstructorTerm = Union[ConVar, ConLeaf, ConNode]
-
-
-def constructor_term_vars(l: ConstructorTerm) -> list[str]:
-    """Term variables of l in first-occurrence order, without duplicates."""
-    out: list[str] = []
-
-    def go(c: ConstructorTerm) -> None:
-        if isinstance(c, ConVar):
-            if c.name not in out:
-                out.append(c.name)
-        elif isinstance(c, ConNode):
-            go(c.left)
-            go(c.right)
-
-    go(l)
-    return out
 
 
 # ---------------------------------------------------------------------------

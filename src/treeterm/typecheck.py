@@ -40,9 +40,7 @@ from .terms import (
     SymbolRef,
     TermVar,
     call_sites,
-    constructor_term_vars,
     fresh_name,
-    pattern_subst,
     pattern_vars,
     quantifier_prefix,
     term_free_pattern_vars,
@@ -74,10 +72,6 @@ class Diagnostic:
         if self.loc is not None:
             parts.append(f"at {self.loc}")
         return " ".join(parts)
-
-
-def _diag_from_error(e: TypeCheckError, rule_index: int | None = None, symbol: str | None = None) -> Diagnostic:
-    return Diagnostic(e.code, e.message, loc=e.loc, rule_index=rule_index, symbol=symbol)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +202,7 @@ def validate_signature(sig: Signature) -> list[Diagnostic]:
         try:
             _, _, rest = decompose_symbol(name, sig)
         except TypeCheckError as e:
-            diags.append(_diag_from_error(e, symbol=name))
+            diags.append(Diagnostic(e.code, e.message, loc=e.loc, symbol=name))
             continue
         for i in range(info.recursive_count):
             pol = polarity(quants[i], rest)
@@ -323,37 +317,40 @@ def synthesize(sig: Signature, ctx: Context, t: AnnotatedTerm) -> RefinementType
     return Forall(t.binder, synthesize(sig, ctx, t.body))
 
 
-def check(sig: Signature, ctx: Context, t: AnnotatedTerm, ty: RefinementType) -> bool:
-    """True when the synthesized type of t is a subtype of ty."""
-    return type_sub(synthesize(sig, ctx, t), ty)
-
-
 # ---------------------------------------------------------------------------
 # Minimal typing of left-hand sides
 
 @dataclass(frozen=True)
-class MinTypingResult:
+class ValidatedRule:
+    rule: RewriteRule
     context: Context
     lhs_type: RefinementType
-    recursive_patterns: tuple[Pattern, ...]
+    index: int = 0
+
+    @property
+    def recursive_patterns(self) -> tuple[Pattern, ...]:
+        """The minimal patterns of the recursive arguments: once the rule
+        validates, these are its written pattern arguments."""
+        return self.rule.pattern_args[: len(self.rule.recursive_args)]
 
 
 def _template(c: ConstructorTerm) -> Pattern:
-    # placeholders are '$'-prefixed, which the lexer cannot produce
+    """The shape of a constructor term, with its term variables as pattern variables."""
     if isinstance(c, ConVar):
-        return PVar("$" + c.name)
+        return PVar(c.name)
     if isinstance(c, ConNode):
         return PNode(_template(c.left), _template(c.right))
     return PLeaf()
 
 
-def min_type_lhs(rule: RewriteRule, sig: Signature) -> MinTypingResult:
+def min_type_lhs(rule: RewriteRule, sig: Signature, index: int = 0) -> ValidatedRule:
     """Match a rule's left-hand side against its forced minimal typing.
 
     The recursive arguments determine their patterns up to the choice of one
     pattern variable per term variable; the rule's written pattern arguments
     must realize exactly that choice, followed by fresh variables for the
-    non-recursive quantifier positions.
+    non-recursive quantifier positions.  The right-hand side is left to
+    `validate_rule`.
     """
     quants, _, rest = decompose_symbol(rule.head, sig)
     info = sig.get(rule.head)
@@ -374,39 +371,40 @@ def min_type_lhs(rule: RewriteRule, sig: Signature) -> MinTypingResult:
             loc=rule.loc,
         )
 
-    templates = [_template(l) for l in rule.recursive_args]
-    mapping: dict[str, str] = {}
+    mapping: dict[str, str] = {}  # term variable -> pattern variable, a bijection
     used: set[str] = set()
+    # (annotation, written pattern at its position) where the two differ
+    annotation_mismatches: list[tuple[Pattern, Pattern]] = []
 
-    def match(template: Pattern, given: Pattern) -> bool:
-        if isinstance(template, PVar):
+    def match(c: ConstructorTerm, given: Pattern) -> bool:
+        if isinstance(c, ConVar):
             if not isinstance(given, PVar):
                 return False
-            bound = mapping.get(template.name)
+            bound = mapping.get(c.name)
             if bound is None:
                 if given.name in used:
                     return False
-                mapping[template.name] = given.name
+                mapping[c.name] = given.name
                 used.add(given.name)
                 return True
             return bound == given.name
-        if isinstance(template, PLeaf):
+        if not isinstance(c, ConNode):
             return isinstance(given, PLeaf)
-        assert isinstance(template, PNode)
-        return (
-            isinstance(given, PNode)
-            and match(template.left, given.left)
-            and match(template.right, given.right)
-        )
+        if not isinstance(given, PNode):
+            return False
+        for ann, written in ((c.ann_left, given.left), (c.ann_right, given.right)):
+            if ann is not None and ann != written:
+                annotation_mismatches.append((ann, written))
+        return match(c.left, given.left) and match(c.right, given.right)
 
     for i in range(k):
-        if not match(templates[i], rule.pattern_args[i]):
+        if not match(rule.recursive_args[i], rule.pattern_args[i]):
             raise TypeCheckError(
                 "E-MIN-PATTERN-MISMATCH",
                 f"pattern argument {i + 1} of the rule for {rule.head!r} is "
                 f"{print_pattern(rule.pattern_args[i])}, but the minimal typing of "
                 "its recursive argument forces the shape "
-                f"{print_pattern(pattern_subst(templates[i], {ph: PVar(ph[1:]) for ph in _placeholders(templates[i])}))} "
+                f"{print_pattern(_template(rule.recursive_args[i]))} "
                 "with one distinct variable per term variable",
                 loc=rule.loc,
             )
@@ -420,54 +418,23 @@ def min_type_lhs(rule: RewriteRule, sig: Signature) -> MinTypingResult:
                 loc=rule.loc,
             )
         used.add(arg.name)
+    if annotation_mismatches:
+        ann, written = annotation_mismatches[0]
+        raise TypeCheckError(
+            "E-MIN-ANNOT-MISMATCH",
+            f"constructor annotation {print_pattern(ann)} in the rule for "
+            f"{rule.head!r} disagrees with the forced pattern "
+            f"{print_pattern(written)}",
+            loc=rule.loc,
+        )
 
-    rename = {ph: PVar(name) for ph, name in mapping.items()}
-    recursive_patterns = tuple(pattern_subst(t, rename) for t in templates)
-
-    def check_annotations(c: ConstructorTerm) -> None:
-        if not isinstance(c, ConNode):
-            return
-        for ann, child in ((c.ann_left, c.left), (c.ann_right, c.right)):
-            if ann is not None:
-                forced = pattern_subst(_template(child), rename)
-                if ann != forced:
-                    raise TypeCheckError(
-                        "E-MIN-ANNOT-MISMATCH",
-                        f"constructor annotation {print_pattern(ann)} in the rule for "
-                        f"{rule.head!r} disagrees with the forced pattern "
-                        f"{print_pattern(forced)}",
-                        loc=rule.loc,
-                    )
-        check_annotations(c.left)
-        check_annotations(c.right)
-
-    for arg in rule.recursive_args:
-        check_annotations(arg)
-
-    ctx = EMPTY_CONTEXT
-    for arg in rule.recursive_args:
-        for var in constructor_term_vars(arg):
-            if ctx.lookup(var) is None:
-                ctx = ctx.extend(var, Base(PVar(mapping["$" + var])))
-
-    phi = {quants[i]: rule.pattern_args[i] for i in range(n)}
-    lhs_type = type_subst(rest, phi)
-    return MinTypingResult(ctx, lhs_type, recursive_patterns)
-
-
-def _placeholders(p: Pattern) -> frozenset[str]:
-    return frozenset(v for v in pattern_vars(p) if v.startswith("$"))
+    ctx = Context(tuple((var, Base(PVar(p))) for var, p in mapping.items()))
+    lhs_type = type_subst(rest, {quants[i]: rule.pattern_args[i] for i in range(n)})
+    return ValidatedRule(rule, ctx, lhs_type, index)
 
 
 # ---------------------------------------------------------------------------
 # Rule and system validation
-
-@dataclass(frozen=True)
-class ValidatedRule:
-    rule: RewriteRule
-    min: MinTypingResult
-    index: int = 0
-
 
 @dataclass
 class ValidatedSystem:
@@ -481,64 +448,54 @@ class ValidatedSystem:
 
 def validate_rule(rule: RewriteRule, sig: Signature, index: int = 0) -> ValidatedRule | list[Diagnostic]:
     """Check one rule; returns the validated rule or the list of problems."""
+
+    def diag(code: str, message: str, loc: Loc | None = rule.loc) -> Diagnostic:
+        return Diagnostic(code, message, loc=loc, rule_index=index, symbol=rule.head)
+
     try:
-        mtr = min_type_lhs(rule, sig)
+        vr = min_type_lhs(rule, sig, index)
     except TypeCheckError as e:
-        return [_diag_from_error(e, rule_index=index, symbol=rule.head)]
+        return [diag(e.code, e.message, e.loc)]
 
     diags: list[Diagnostic] = []
-    lhs_vars = {v for arg in rule.recursive_args for v in constructor_term_vars(arg)}
+    lhs_vars = {name for name, _ in vr.context.bindings}
     for name in sorted(term_free_term_vars(rule.rhs) - lhs_vars):
-        diags.append(Diagnostic(
+        diags.append(diag(
             "E-FREE-VAR",
             f"right-hand side variable {name!r} does not occur on the left-hand side",
-            loc=rule.loc,
-            rule_index=index,
-            symbol=rule.head,
         ))
-    allowed_pattern_vars = frozenset().union(
-        frozenset(), *(pattern_vars(p) for p in rule.pattern_args)
-    )
+    allowed_pattern_vars = frozenset().union(*(pattern_vars(p) for p in rule.pattern_args))
     for name in sorted(term_free_pattern_vars(rule.rhs) - allowed_pattern_vars):
-        diags.append(Diagnostic(
+        diags.append(diag(
             "E-PATTERN-VAR",
             f"right-hand side pattern variable {name!r} is not introduced by the "
             "left-hand side",
-            loc=rule.loc,
-            rule_index=index,
-            symbol=rule.head,
         ))
 
     for ref, patterns in call_sites(rule.rhs):
         info = sig.get(ref.name)
         if info is not None and len(patterns) != info.quantifier_count:
-            diags.append(Diagnostic(
+            diags.append(diag(
                 "E-PARTIAL-PATTERN-APP",
                 f"symbol {ref.name!r} is applied to {len(patterns)} pattern arguments, "
                 f"expected {info.quantifier_count}",
-                loc=ref.loc or rule.loc,
-                rule_index=index,
-                symbol=rule.head,
+                ref.loc or rule.loc,
             ))
 
     if diags:
         return diags
 
     try:
-        ok = check(sig, mtr.context, rule.rhs, mtr.lhs_type)
+        rhs_ty = synthesize(sig, vr.context, rule.rhs)
     except TypeCheckError as e:
-        return [_diag_from_error(e, rule_index=index, symbol=rule.head)]
-    if not ok:
-        rhs_ty = synthesize(sig, mtr.context, rule.rhs)
-        return [Diagnostic(
+        return [diag(e.code, e.message, e.loc)]
+    if not type_sub(rhs_ty, vr.lhs_type):
+        return [diag(
             "E-RHS-TYPE",
             f"right-hand side has type {print_type(rhs_ty)}, which is not a "
-            f"subtype of the left-hand side type {print_type(mtr.lhs_type)}",
-            loc=rule.loc,
-            rule_index=index,
-            symbol=rule.head,
+            f"subtype of the left-hand side type {print_type(vr.lhs_type)}",
         )]
-    return ValidatedRule(rule, mtr, index)
+    return vr
 
 
 def validate_system(sys: RewriteSystem) -> ValidatedSystem | list[Diagnostic]:

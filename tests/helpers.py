@@ -19,6 +19,7 @@ from treeterm.analysis import (
 )
 from treeterm.rewrite import _step, erased_rules
 from treeterm.terms import (
+    AnnotatedTerm,
     App,
     Arrow,
     Base,
@@ -56,9 +57,11 @@ from treeterm.terms import (
     pattern_vars,
     type_subst,
 )
+from treeterm.typecheck import Context, synthesize, type_sub
 
 # ---------------------------------------------------------------------------
-# References: pattern and type predicates, unification, one-step reduction
+# References: pattern and type predicates, type checking, unification,
+# one-step reduction
 
 def pattern_is_minimal(p: Pattern) -> bool:
     """True when p contains neither a wildcard nor the empty pattern."""
@@ -112,6 +115,11 @@ def alpha_eq_type(a: RefinementType, b: RefinementType) -> bool:
         return False
 
     return go(a, b, {}, {}, 0)
+
+
+def check(sig: Signature, ctx: Context, t: AnnotatedTerm, ty: RefinementType) -> bool:
+    """True when the synthesized type of t is a subtype of ty."""
+    return type_sub(synthesize(sig, ctx, t), ty)
 
 
 def alpha_eq_erased(a: ErasedTerm, b: ErasedTerm) -> bool:

@@ -12,9 +12,12 @@ from __future__ import annotations
 
 from itertools import product
 
-from treeterm.rewrite import FuelExhausted, is_neutral, node_parts, normalize, pattern_form
+from treeterm.rewrite import FuelExhausted, normalize, pattern_form
 from treeterm.terms import (
+    EApp,
+    ELam,
     ELeaf,
+    ENode,
     ErasedTerm,
     Pattern,
     PLeaf,
@@ -36,6 +39,25 @@ class FuelExhaustedError(Exception):
 
 
 Valuation = dict[str, frozenset[Pattern]]
+
+
+def is_value(t: ErasedTerm) -> bool:
+    """Lambdas, Leaf, and fully applied Node are the values; a partially
+    applied Node is not."""
+    if isinstance(t, (ELam, ELeaf)):
+        return True
+    return node_parts(t) is not None
+
+
+def is_neutral(t: ErasedTerm) -> bool:
+    return not is_value(t)
+
+
+def node_parts(t: ErasedTerm) -> tuple[ErasedTerm, ErasedTerm] | None:
+    """The two children when t is a fully applied Node, else None."""
+    if isinstance(t, EApp) and isinstance(t.fun, EApp) and isinstance(t.fun.fun, ENode):
+        return t.fun.arg, t.arg
+    return None
 
 
 def term_matches(v: ErasedTerm, p: Pattern) -> bool:

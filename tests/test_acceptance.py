@@ -289,7 +289,7 @@ def _realized_chain_count(path) -> int:
             sigma = dict(zip(lhs_vars, combo))
             for callee, patterns, arg_terms in sites:
                 source = dps.index(_canonical_pair(
-                    vr.rule.head, vr.min.recursive_patterns, callee, patterns))
+                    vr.rule.head, vr.recursive_patterns, callee, patterns))
                 value_sets = []
                 for arg in arg_terms:
                     out = normalize(erased_subst(erase(arg), sigma), system, fuel=10000)
@@ -309,7 +309,7 @@ def _realized_chain_count(path) -> int:
                         second = vsys.rules[fired.rule_index]
                         for next_callee, next_patterns, _ in _call_sites_with_args(second.rule.rhs):
                             target = dps.index(_canonical_pair(
-                                second.rule.head, second.min.recursive_patterns,
+                                second.rule.head, second.recursive_patterns,
                                 next_callee, next_patterns))
                             assert (source, target) in graph.edges, (
                                 f"realized chain {dps[source]} ~> {dps[target]} has no edge"

@@ -12,14 +12,16 @@ import zlib
 
 import pytest
 
+from treeterm import cli
 from treeterm.cli import main
 from treeterm.report import SCHEMA_VERSION
-from conftest import APP_PATH, FGIH_PATH, NONMINIMAL_PATH
+from conftest import APP_PATH, FGIH_PATH, NONMINIMAL_PATH, SYSTEMS
 from helpers import clique_text, ring_text
 
 APP = str(APP_PATH)
 FGIH = str(FGIH_PATH)
 NONMINIMAL = str(NONMINIMAL_PATH)
+INVALID_DIR = SYSTEMS / "invalid"
 
 LOOP_TEXT = (
     "symbol f : forall a. B(a) -> B(leaf) recursive 1;\n"
@@ -79,6 +81,105 @@ def test_check_invalid(capsys):
     assert code == 2
     assert out.splitlines()[0] == f"INVALID: {NONMINIMAL}"
     assert "E-MIN-PATTERN-MISMATCH" in out
+
+
+# Every diagnostic line `check` prints for systems/invalid/<name>.trs; each
+# file shows the code named by its file name, in every wording it has.
+INVALID_DIAGNOSTICS = {
+    "arg-type": (
+        "E-ARG-TYPE: argument 'x' has type B(a), which is not a subtype of B(leaf) at 6:18",
+    ),
+    "expected-function": (
+        "E-EXPECTED-FUNCTION: term 'x' of type B(a) is applied to an argument but has no "
+        "function type at 5:18",
+    ),
+    "expected-poly": (
+        "E-EXPECTED-POLY: term 'x' of type B(a) is applied to a pattern but is not quantified "
+        "at 5:17",
+    ),
+    "free-var": (
+        "E-FREE-VAR: right-hand side variable 'y' does not occur on the left-hand side at 5:1",
+        "E-FREE-VAR: right-hand side variable 'z' does not occur on the left-hand side at 5:1",
+    ),
+    "min-annot-mismatch": (
+        "E-MIN-ANNOT-MISMATCH: constructor annotation b in the rule for 'f' disagrees with the "
+        "forced pattern a at 6:1",
+        "E-MIN-ANNOT-MISMATCH: constructor annotation c in the rule for 'f' disagrees with the "
+        "forced pattern b at 7:1",
+    ),
+    "min-arity": (
+        "E-MIN-ARITY: rule for 'f' has 0 pattern arguments, expected 1 at 6:1",
+        "E-MIN-ARITY: rule for 'f' has 0 recursive arguments, expected 1 at 7:1",
+    ),
+    "min-fresh-var": (
+        "E-MIN-FRESH-VAR: pattern argument 2 of the rule for 'f' must be a fresh pattern "
+        "variable at 6:1",
+        "E-MIN-FRESH-VAR: pattern argument 2 of the rule for 'f' must be a fresh pattern "
+        "variable at 7:1",
+    ),
+    "min-pattern-mismatch": tuple(
+        f"E-MIN-PATTERN-MISMATCH: pattern argument 1 of the rule for 'f' is {given}, but the "
+        f"minimal typing of its recursive argument forces the shape {shape} with one distinct "
+        f"variable per term variable at {line}:1"
+        for given, shape, line in (
+            ("a", "node(x,y)", 6),
+            ("node(a,a)", "node(x,y)", 7),
+            ("node(a,b)", "node(x,x)", 8),
+            ("node(a,leaf)", "node(x,node(y,z))", 9),
+        )
+    ),
+    "partial-pattern-app": (
+        "E-PARTIAL-PATTERN-APP: symbol 'f' is applied to 1 pattern arguments, expected 2 at 6:20",
+    ),
+    "pattern-capture": (
+        "E-PATTERN-CAPTURE: pattern binder 'a' already occurs free in the context at 6:17",
+    ),
+    "pattern-var": (
+        "E-PATTERN-VAR: right-hand side pattern variable 'c' is not introduced by the "
+        "left-hand side at 6:1",
+    ),
+    "rhs-type": (
+        "E-RHS-TYPE: right-hand side has type B(a), which is not a subtype of the left-hand "
+        "side type B(leaf) at 6:1",
+    ),
+    "shadowed": (
+        "E-SHADOWED: variable 'x' is bound twice at 5:17",
+    ),
+    "sig-distinct": (
+        "E-SIG-DISTINCT: quantifiers of symbol 'f' are not pairwise distinct at 3:1",
+    ),
+    "sig-polarity": (
+        "E-SIG-POLARITY: quantifier 'a' of symbol 'f' occurs negative in the result type at 4:1",
+        "E-SIG-POLARITY: quantifier 'a' of symbol 'g' occurs both in the result type at 5:1",
+    ),
+    "sig-recursive-count": (
+        "E-SIG-RECURSIVE-COUNT: symbol 'f' declares 1 recursive arguments but only 0 "
+        "quantifiers at 3:1",
+    ),
+    "sig-shape": (
+        "E-SIG-SHAPE: symbol 'f' declares 1 recursive arguments but its type has only 0 "
+        "argument positions at 4:1",
+        "E-SIG-SHAPE: recursive argument 1 of symbol 'g' must have type B(a), found B(leaf) "
+        "at 5:1",
+    ),
+    "undeclared-symbol": (
+        "E-UNDECLARED-SYMBOL: symbol 'g' is not declared",
+    ),
+}
+
+
+def test_invalid_systems_are_all_pinned():
+    assert sorted(p.stem for p in INVALID_DIR.glob("*.trs")) == sorted(INVALID_DIAGNOSTICS)
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_DIAGNOSTICS))
+def test_check_invalid_system_output(capsys, name):
+    path = str(INVALID_DIR / f"{name}.trs")
+    code, out, err = run(capsys, "check", path)
+    assert (code, err) == (2, "")
+    lines = INVALID_DIAGNOSTICS[name]
+    assert out == "".join(f"{line}\n" for line in (f"INVALID: {path}", *(f"  {l}" for l in lines)))
+    assert all(line.startswith(f"E-{name.upper()}: ") for line in lines)
 
 
 def test_check_missing_file(capsys, tmp_path):
@@ -519,6 +620,17 @@ def test_deep_nesting_exits_5_in_a_process(tmp_path, command):
     assert result.returncode == 5
     assert result.stderr == "error: input nests too deeply\n"
     assert result.stdout == ""
+
+
+def test_internal_error_exits_5_with_one_line(capsys, monkeypatch):
+    def fail(validated):
+        raise RuntimeError("no verdict")
+
+    monkeypatch.setattr(cli, "check_criterion", fail)
+    code, out, err = run(capsys, "check", FGIH)
+    assert code == 5
+    assert out == ""
+    assert err == "error: internal error: RuntimeError: no verdict\n"
 
 
 def test_closed_stdout_exits_4_in_a_process(tmp_path):

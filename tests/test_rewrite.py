@@ -7,16 +7,14 @@ from treeterm.rewrite import (
     FuelExhausted,
     NormalForms,
     erased_rules,
-    is_neutral,
-    is_value,
     match_lhs,
-    node_parts,
     normalize,
 )
 from treeterm.syntax import parse_erased_term, parse_system, print_erased
 from treeterm.terms import EApp, ELam, ELeaf, ENode, ESym, EVar, alpha_canonical, erased_subst
 from conftest import APP_PATH, FGIH_PATH, load
 from helpers import alpha_eq_erased, ground_trees, step
+from oracle import is_neutral, is_value, node_parts
 
 
 def et(text: str, symbols=frozenset()):

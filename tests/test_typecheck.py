@@ -19,7 +19,6 @@ from treeterm.typecheck import (
     NODE_TYPE,
     Polarity,
     TypeCheckError,
-    check,
     decompose_symbol,
     min_type_lhs,
     pattern_sub,
@@ -31,6 +30,7 @@ from treeterm.typecheck import (
     validate_system,
 )
 from conftest import FGIH_PATH, APP_PATH, NONMINIMAL_PATH, load
+from helpers import check
 
 
 def sub(a: str, b: str) -> bool:

@@ -4,16 +4,18 @@
     python3 tools/compare_outputs.py OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are directories holding a `treeterm` package, such as
-the `src/` of two checkouts.  The inputs are `systems/*.trs` and every
-distinct ring, clique and wide system of perfbench seeds 1-3, built by
-`perfbench/workloads.py`.  For each system the script records:
+the `src/` of two checkouts.  The inputs are `systems/*.trs`, the invalid
+systems `systems/invalid/*.trs` and every distinct ring, clique and wide
+system of perfbench seeds 1-3, built by `perfbench/workloads.py`.  For each
+system the script records:
 
 - `check --json -` without `timing`, and its exit code;
 - the `check` text, its exit code and the `check --dot` file;
-- the SHA-256 of the `check --png` file, for `systems/*.trs` and for every
-  system whose report has at most 300 edges (larger pictures take seconds);
+- the SHA-256 of the `check --png` file, for the files under `systems/` and
+  for every system whose report has at most 300 edges (larger pictures take
+  seconds);
 - `graph` stdout and exit code;
-- `typecheck` stdout and exit code, for `systems/*.trs` only.
+- `typecheck` stdout and exit code, for the files under `systems/` only.
 
 It also records `reduce ... --all --oracle` for the `reduce` examples in
 README.md and for every op of the perfbench `reduce` workload.  Stderr is
@@ -68,11 +70,12 @@ def readme_reductions() -> list[list[str]]:
 def build_inputs(work: Path) -> list[tuple[str, list[str], bool]]:
     """Write every input under `work` and list the runs as (kind, argv,
     fixture), with paths relative to a child directory of `work`; `fixture`
-    marks `systems/*.trs`."""
+    marks the files under `systems/`."""
     workloads = load_workloads()
     shutil.copytree(ROOT / "systems", work / "systems")
     shutil.copytree(ROOT / "perfbench" / "fixtures", work / "fixtures")
-    systems = [(f"../systems/{p.name}", True) for p in sorted((work / "systems").glob("*.trs"))]
+    systems = [(f"../{p.relative_to(work).as_posix()}", True)
+               for p in sorted((work / "systems").rglob("*.trs"))]
     generated = work / "generated"
     generated.mkdir()
     seen: dict[str, str] = {}
