@@ -9,7 +9,7 @@ runtime language.  The textual format lives in `syntax`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Union
+from typing import ClassVar, Iterator, Mapping, Union
 
 
 @dataclass(frozen=True)
@@ -268,37 +268,100 @@ ConstructorTerm = Union[ConVar, ConLeaf, ConNode]
 
 # ---------------------------------------------------------------------------
 # Erased terms (the untyped runtime language)
+#
+# Every erased term has `inert`: no symbol and no lambda occurs in it, so it
+# has no redex and is its own only normal form.
 
 @dataclass(frozen=True)
 class EVar:
     name: str
+    inert: ClassVar[bool] = True
 
 
 @dataclass(frozen=True)
 class ESym:
     name: str
+    inert: ClassVar[bool] = False
 
 
 @dataclass(frozen=True)
 class ELeaf:
-    pass
+    inert: ClassVar[bool] = True
 
 
 @dataclass(frozen=True)
 class ENode:
-    pass
+    inert: ClassVar[bool] = True
 
 
-@dataclass(frozen=True)
-class EApp:
-    fun: ErasedTerm
-    arg: ErasedTerm
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class ELam:
-    binder: str
-    body: ErasedTerm
+class _Compound:
+    """An immutable erased term with children.  Its hash is computed once,
+    from the children's, and equality walks both terms with an explicit
+    stack, so deep terms compare without recursion."""
+
+    __slots__ = ("_hash",)
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        work = [(self, other)]
+        while work:
+            a, b = work.pop()
+            if a is b:
+                continue
+            kind = type(a)
+            if kind is not type(b):
+                return False
+            if kind is EApp:
+                if a._hash != b._hash:
+                    return False
+                work.append((a.fun, b.fun))
+                work.append((a.arg, b.arg))
+            elif kind is ELam:
+                if a._hash != b._hash or a.binder != b.binder:
+                    return False
+                work.append((a.body, b.body))
+            elif a != b:
+                return False
+        return True
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class EApp(_Compound):
+    __slots__ = ("fun", "arg", "inert")
+    _fields = ("fun", "arg")
+
+    def __init__(self, fun: ErasedTerm, arg: ErasedTerm):
+        _set(self, "fun", fun)
+        _set(self, "arg", arg)
+        _set(self, "inert", fun.inert and arg.inert)
+        _set(self, "_hash", hash((fun, arg)))
+
+
+class ELam(_Compound):
+    __slots__ = ("binder", "body")
+    _fields = ("binder", "body")
+    inert = False
+
+    def __init__(self, binder: str, body: ErasedTerm):
+        _set(self, "binder", binder)
+        _set(self, "body", body)
+        _set(self, "_hash", hash((binder, body)))
 
 
 ErasedTerm = Union[EVar, ESym, ELeaf, ENode, EApp, ELam]

@@ -455,7 +455,7 @@ def validate_rule(rule: RewriteRule, sig: Signature, index: int = 0) -> Validate
     try:
         vr = min_type_lhs(rule, sig, index)
     except TypeCheckError as e:
-        return [diag(e.code, e.message, e.loc)]
+        return [diag(e.code, e.message, e.loc or rule.loc)]
 
     diags: list[Diagnostic] = []
     lhs_vars = {name for name, _ in vr.context.bindings}

@@ -17,7 +17,17 @@ from treeterm.analysis import (
     check_scc,
     pattern_unifiable,
 )
-from treeterm.rewrite import _step, erased_rules
+from treeterm.rewrite import (
+    ErasedRule,
+    FuelExhausted,
+    NormalForms,
+    ReductionOutcome,
+    _step,
+    erased_rules,
+    match_lhs,
+    rule_index,
+)
+from treeterm.syntax import print_erased
 from treeterm.terms import (
     AnnotatedTerm,
     App,
@@ -53,6 +63,7 @@ from treeterm.terms import (
     SymbolRef,
     TermVar,
     alpha_canonical,
+    erased_subst,
     pattern_subst,
     pattern_vars,
     type_subst,
@@ -184,7 +195,84 @@ def unify_patterns(p: Pattern, q: Pattern) -> dict[str, Pattern] | None:
 
 def step(t: ErasedTerm, sys: RewriteSystem) -> frozenset[ErasedTerm]:
     """All one-step reducts of t at any position."""
-    return _step(t, erased_rules(sys))
+    return frozenset(_step(t, rule_index(erased_rules(sys))))
+
+
+# ---------------------------------------------------------------------------
+# The exhaustive reducer that `rewrite.normalize` replaced, kept as the
+# reference it is compared against: it searches every interleaving of
+# redexes, so it is exact but exponential in the number of independent ones.
+
+def reference_step(t: ErasedTerm, rules: tuple[ErasedRule, ...]) -> frozenset[ErasedTerm]:
+    out: set[ErasedTerm] = set()
+    for r in rules:
+        binding = match_lhs(r.lhs, t)
+        if binding is not None:
+            out.add(erased_subst(r.rhs, binding))
+    if isinstance(t, EApp) and isinstance(t.fun, ELam):
+        out.add(erased_subst(t.fun.body, {t.fun.binder: t.arg}))
+    if isinstance(t, EApp):
+        for u in reference_step(t.fun, rules):
+            out.add(EApp(u, t.arg))
+        for u in reference_step(t.arg, rules):
+            out.add(EApp(t.fun, u))
+    elif isinstance(t, ELam):
+        for u in reference_step(t.body, rules):
+            out.add(ELam(t.binder, u))
+    return frozenset(out)
+
+
+def reference_normalize(t: ErasedTerm, sys: RewriteSystem, fuel: int = 10000) -> ReductionOutcome:
+    """Exhaustive search of the reduction graph from t.
+
+    States are memoized under alpha-canonical keys and fuel counts expanded
+    states.  Reaching a state that is still being explored means the graph
+    has a cycle, i.e. an infinite reduction; the search stops right there
+    and reports the budget outcome rather than a misleading set of normal
+    forms.
+    """
+    if fuel <= 0:
+        raise ValueError("fuel must be positive")
+    rules = erased_rules(sys)
+    normals: set[ErasedTerm] = set()
+    color: dict[ErasedTerm, int] = {}
+    expanded = 0
+
+    def expand(k: ErasedTerm) -> list[ErasedTerm]:
+        nonlocal expanded
+        expanded += 1
+        succ = {alpha_canonical(u) for u in reference_step(k, rules)}
+        if not succ:
+            normals.add(k)
+        return sorted(succ, key=print_erased)
+
+    def exhausted(blocked: ErasedTerm, stack: list) -> FuelExhausted:
+        greys = [entry[0] for entry in stack]
+        frontier = tuple(sorted({blocked, *greys}, key=print_erased))
+        return FuelExhausted(frontier=frontier, steps=expanded)
+
+    root = alpha_canonical(t)
+    color[root] = 1
+    stack: list[tuple[ErasedTerm, object]] = [(root, iter(expand(root)))]
+    while stack:
+        k, it = stack[-1]
+        advanced = False
+        for w in it:  # type: ignore[union-attr]
+            state = color.get(w, 0)
+            if state == 1:
+                return exhausted(w, stack)
+            if state == 2:
+                continue
+            if expanded >= fuel:
+                return exhausted(w, stack)
+            color[w] = 1
+            stack.append((w, iter(expand(w))))
+            advanced = True
+            break
+        if not advanced:
+            color[k] = 2
+            stack.pop()
+    return NormalForms(frozenset(normals))
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +298,39 @@ def closed_patterns(max_depth: int, include_wild: bool = True) -> list[Pattern]:
         return atoms
     smaller = closed_patterns(max_depth - 1, include_wild)
     return atoms + [PNode(a, b) for a, b in product(smaller, smaller)]
+
+
+# two rules with one left-hand side: not confluent, so `c t` has two normal forms
+CHOICE_TEXT = (
+    "symbol c : forall a. B(a) -> B(_) recursive 1;\n"
+    "rule c[a] x -> x;\n"
+    "rule c[a] x -> Node[_,_] x Leaf;\n"
+)
+
+
+def choice_spine(depth: int) -> ErasedTerm:
+    """A right spine of `depth` Nodes, each with `c Leaf` on its left: under
+    CHOICE_TEXT it has 2**depth normal forms."""
+    t: ErasedTerm = ELeaf()
+    for _ in range(depth):
+        t = EApp(EApp(ENode(), EApp(ESym("c"), ELeaf())), t)
+    return t
+
+
+def spine_tree(depth: int) -> ErasedTerm:
+    """A left spine of `depth` Nodes, each with a Leaf on its right."""
+    t: ErasedTerm = ELeaf()
+    for _ in range(depth):
+        t = EApp(EApp(ENode(), t), ELeaf())
+    return t
+
+
+def full_tree(depth: int) -> ErasedTerm:
+    """The complete tree of the given depth: 2**depth - 1 Nodes."""
+    t: ErasedTerm = ELeaf()
+    for _ in range(depth):
+        t = EApp(EApp(ENode(), t), t)
+    return t
 
 
 def term_arity(ty: RefinementType) -> int:

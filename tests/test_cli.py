@@ -4,10 +4,12 @@ from __future__ import annotations
 import importlib.util
 import json
 import math
+import os
 import re
 import struct
 import subprocess
 import sys
+import time
 import zlib
 
 import pytest
@@ -15,8 +17,9 @@ import pytest
 from treeterm import cli
 from treeterm.cli import main
 from treeterm.report import SCHEMA_VERSION
+from treeterm.syntax import print_erased
 from conftest import APP_PATH, FGIH_PATH, NONMINIMAL_PATH, SYSTEMS
-from helpers import clique_text, ring_text
+from helpers import CHOICE_TEXT, choice_spine, clique_text, full_tree, ring_text, spine_tree
 
 APP = str(APP_PATH)
 FGIH = str(FGIH_PATH)
@@ -163,7 +166,7 @@ INVALID_DIAGNOSTICS = {
         "at 5:1",
     ),
     "undeclared-symbol": (
-        "E-UNDECLARED-SYMBOL: symbol 'g' is not declared",
+        "E-UNDECLARED-SYMBOL: symbol 'g' is not declared at 5:1",
     ),
 }
 
@@ -260,6 +263,15 @@ def test_check_json_deterministic_modulo_timing(capsys):
     r1, r2 = json.loads(out1), json.loads(out2)
     r1.pop("timing"), r2.pop("timing")
     assert r1 == r2
+
+
+def test_undeclared_symbol_diagnostic_has_a_location(capsys):
+    path = str(INVALID_DIR / "undeclared-symbol.trs")
+    code, out, _ = run(capsys, "check", path, "--json", "-")
+    assert code == 2
+    (diagnostic,) = json.loads(out)["diagnostics"]
+    assert diagnostic["code"] == "E-UNDECLARED-SYMBOL"
+    assert (diagnostic["line"], diagnostic["col"]) == (5, 1)
 
 
 def test_check_json_invalid_outcome(capsys):
@@ -511,6 +523,45 @@ def test_reduce_lambda_term(capsys):
     code, out, _ = run(capsys, "reduce", FGIH, "--term", r"(\x. x) Leaf")
     assert code == 0
     assert out == "Leaf\n"
+
+
+@pytest.mark.parametrize("tree", [spine_tree(150), full_tree(8)], ids=["spine-150", "full-8"])
+def test_reduce_deep_tree_is_fast(capsys, tree):
+    # i maps a tree to itself; the reducer splits each Node instead of
+    # interleaving the independent i calls below it
+    text = print_erased(tree)
+    started = time.perf_counter()
+    code, out, err = run(capsys, "reduce", FGIH, "--term", f"i ({text})", "--all")
+    assert time.perf_counter() - started < 1.0
+    assert (code, err) == (0, "")
+    assert out == f"{text}\n1 normal form(s)\n"
+
+
+def test_reduce_too_many_normal_forms_runs_out_of_fuel(capsys, tmp_path):
+    # Node (c Leaf) (Node (c Leaf) ...) has 2**30 normal forms under c
+    system = tmp_path / "choice.trs"
+    system.write_text(CHOICE_TEXT)
+    started = time.perf_counter()
+    code, out, err = run(capsys, "reduce", str(system), "--term", print_erased(choice_spine(30)))
+    assert time.perf_counter() - started < 1.0
+    assert (code, err) == (1, "")
+    assert out.startswith("FUEL EXHAUSTED")
+
+
+@pytest.mark.parametrize("system,term", [
+    (FGIH, f"f ({print_erased(full_tree(3))})"),
+    (APP, r"app (\x. x x) (\x. x x)"),
+], ids=["fuel", "cycle"])
+def test_reduce_exhausted_output_is_independent_of_hash_seed(system, term):
+    outputs = []
+    for seed in ("0", "1"):
+        result = subprocess.run(
+            [sys.executable, "-m", "treeterm.cli", "reduce", system, "--term", term, "--fuel", "300"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONHASHSEED=seed))
+        assert result.returncode == 1, result.stderr
+        assert result.stdout.startswith("FUEL EXHAUSTED")
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------------------

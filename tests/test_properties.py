@@ -16,7 +16,7 @@ from treeterm.analysis import (
     pattern_unifiable,
     sccs,
 )
-from treeterm.rewrite import NormalForms, normalize, pattern_form
+from treeterm.rewrite import FuelExhausted, NormalForms, normalize, pattern_form
 from treeterm.syntax import (
     parse_erased_term,
     parse_pattern,
@@ -32,6 +32,7 @@ from treeterm.terms import (
     Base,
     EApp,
     ENode,
+    ESym,
     Forall,
     PBottom,
     PLeaf,
@@ -52,13 +53,15 @@ from treeterm.typecheck import (
     type_sub,
     validate_signature,
 )
-from conftest import APP_PATH, FGIH_PATH, load
+from conftest import APP_PATH, FGIH_PATH, NONMINIMAL_PATH, load
 from helpers import (
+    CHOICE_TEXT,
     alpha_eq_erased,
     alpha_eq_type,
     closed_pattern_above,
     closed_patterns,
     freshen,
+    ground_trees,
     pattern_above,
     pattern_below,
     pattern_is_closed,
@@ -72,10 +75,12 @@ from helpers import (
     random_valuation,
     reference_edges,
     reference_find_indices,
+    reference_normalize,
     reference_sccs,
     step,
     strictly_above_pattern,
     subst_pattern,
+    term_arity,
     term_matching_pattern,
     term_with_pattern_form,
     type_above,
@@ -94,6 +99,8 @@ from oracle import (
 
 FGIH = load(FGIH_PATH)
 APP = load(APP_PATH)
+NONMINIMAL = load(NONMINIMAL_PATH)
+CHOICE = parse_system(CHOICE_TEXT)
 EMPTY = parse_system("")
 
 
@@ -415,6 +422,43 @@ def test_symbol_free_reduction_is_confluent(rng):
     out = normalize(t, EMPTY, fuel=400)
     assume(isinstance(out, NormalForms))
     assert len(out.forms) == 1
+
+
+def agrees_with_reference(t, system, fuel: int) -> bool:
+    """Where the exhaustive reference reducer finishes (normal forms, or a
+    cycle found before its fuel ran out), normalize gives the same kind of
+    outcome and the same normal forms.  Says whether the reference finished."""
+    expected = reference_normalize(t, system, fuel)
+    if isinstance(expected, FuelExhausted) and expected.steps >= fuel:
+        return False
+    got = normalize(t, system, fuel)
+    assert type(got) is type(expected), print_erased(t)
+    if isinstance(expected, NormalForms):
+        assert got.forms == expected.forms, print_erased(t)
+    return True
+
+
+def test_normalize_agrees_with_reference_on_ground_calls():
+    # every fixture symbol on every ground tree of depth <= 3
+    trees = ground_trees(3)
+    finished = 0
+    for system in (APP, FGIH, NONMINIMAL):
+        for name, info in system.signature:
+            for args in product(trees, repeat=term_arity(info.type)):
+                t = ESym(name)
+                for a in args:
+                    t = EApp(t, a)
+                finished += agrees_with_reference(t, system, 10000)
+    assert finished == 807 + 26 * 26
+
+
+@given(rngs(), st.sampled_from(["app", "fgih", "nonminimal", "choice"]), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_normalize_agrees_with_reference(rng, name, free_variable):
+    system = {"app": APP, "fgih": FGIH, "nonminimal": NONMINIMAL, "choice": CHOICE}[name]
+    symbols = tuple(s for s, _ in system.signature)
+    t = random_erased_term(rng, symbols, 4, ("y",) if free_variable else ())
+    agrees_with_reference(t, system, 2000)
 
 
 # ---------------------------------------------------------------------------

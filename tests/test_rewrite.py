@@ -1,6 +1,8 @@
 """Reduction of erased terms: matching, stepping, and normal-form search."""
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from treeterm.rewrite import (
@@ -9,11 +11,12 @@ from treeterm.rewrite import (
     erased_rules,
     match_lhs,
     normalize,
+    rule_index,
 )
 from treeterm.syntax import parse_erased_term, parse_system, print_erased
 from treeterm.terms import EApp, ELam, ELeaf, ENode, ESym, EVar, alpha_canonical, erased_subst
 from conftest import APP_PATH, FGIH_PATH, load
-from helpers import alpha_eq_erased, ground_trees, step
+from helpers import CHOICE_TEXT, alpha_eq_erased, choice_spine, ground_trees, step
 from oracle import is_neutral, is_value, node_parts
 
 
@@ -29,6 +32,7 @@ FGIH = load(FGIH_PATH)
 FGIH_SYMS = frozenset(name for name, _ in FGIH.signature)
 APP = load(APP_PATH)
 APP_SYMS = frozenset(name for name, _ in APP.signature)
+CHOICE = parse_system(CHOICE_TEXT)
 
 
 def fg(text: str):
@@ -181,6 +185,34 @@ def test_normalize_joins_branches():
     assert forms_of(out) == {"f Leaf"}
 
 
+def test_normalize_combines_every_form_of_each_argument():
+    out = normalize(et("Node (c Leaf) (c Leaf)", frozenset({"c"})), CHOICE)
+    assert forms_of(out) == {
+        f"Node {a} {b}" for a in ("Leaf", "(Node Leaf Leaf)") for b in ("Leaf", "(Node Leaf Leaf)")
+    }
+
+
+def test_normalize_caps_normal_forms_at_fuel():
+    # one expanded state (c Leaf) and four normal forms: each form is a
+    # reachable state, so a fuel below four cannot cover the graph
+    t = et("Node (c Leaf) (c Leaf)", frozenset({"c"}))
+    assert len(normalize(t, CHOICE, fuel=4).forms) == 4
+    out = normalize(t, CHOICE, fuel=3)
+    assert isinstance(out, FuelExhausted)
+    assert out.steps == 1
+    assert [print_erased(u) for u in out.frontier] == ["Node (c Leaf) (c Leaf)"]
+
+
+def test_normalize_stops_before_building_exponentially_many_forms():
+    # c Leaf is searched once and memoized, so almost no fuel is spent;
+    # the 2**30 combinations must still be refused, not built
+    started = time.perf_counter()
+    out = normalize(choice_spine(30), CHOICE)
+    assert time.perf_counter() - started < 1.0
+    assert isinstance(out, FuelExhausted)
+    assert out.steps == 1
+
+
 def test_normalize_stores_alpha_canonical_forms():
     out = normalize(et(r"(\x. \y. x) Leaf"), parse_system(""))
     (form,) = out.forms
@@ -197,6 +229,25 @@ def test_normalize_detects_cycle():
     assert isinstance(out, FuelExhausted)
     assert out.steps >= 1
     assert any(print_erased(t) == "f Leaf" for t in out.frontier)
+
+
+def test_normalize_detects_term_inside_its_own_reduct():
+    # f Leaf -> Node (f Leaf) Leaf never repeats a whole state, but the rigid
+    # reduct contains the term, so the reduction is infinite
+    growing = parse_system(
+        "symbol f : forall a. B(a) -> B(_) recursive 1;\n"
+        "rule f[a] x -> Node[_,leaf] (f[a] x) Leaf;\n"
+    )
+    out = normalize(et("f Leaf", frozenset({"f"})), growing)
+    assert isinstance(out, FuelExhausted)
+    assert out.steps == 1
+    assert [print_erased(t) for t in out.frontier] == ["f Leaf"]
+
+
+def test_rule_index_files_rules_by_head_and_argument_count():
+    index = rule_index(erased_rules(APP))
+    assert sorted(index) == [("app", 0), ("f", 0), ("g", 1)]
+    assert [r.rule_index for r in index[("g", 1)]] == [2, 3]
 
 
 def test_normalize_frontier_is_sorted():
