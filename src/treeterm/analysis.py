@@ -10,24 +10,19 @@ from __future__ import annotations
 
 import math
 import string
-from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from collections.abc import Iterator, Sequence
 
-from .terms import Pattern, PNode, PVar, PWild, call_sites, pattern_subst
+from .terms import Pattern, PNode, PVar, PWild, Record, call_sites, pattern_subst
 from .typecheck import ValidatedSystem
+
+_set = object.__setattr__
 
 
 # ---------------------------------------------------------------------------
 # Dependency pairs
 
-@dataclass(frozen=True)
-class DependencyPair:
-    lhs_symbol: str
-    lhs_args: tuple[Pattern, ...]
-    rhs_symbol: str
-    rhs_args: tuple[Pattern, ...]
-    rule_index: int = field(default=0, compare=False)
+class DependencyPair(Record, ignore=("rule_index",), hashed=True, rule_index=0):
+    __slots__ = ("lhs_symbol", "lhs_args", "rhs_symbol", "rhs_args", "rule_index")
 
 
 def _canonical_name(i: int) -> str:
@@ -98,18 +93,19 @@ def pattern_unifiable(p: Pattern, q: Pattern) -> bool:
 # ---------------------------------------------------------------------------
 # Dependency graph
 
-@dataclass(frozen=True)
-class DependencyGraph:
-    nodes: tuple[DependencyPair, ...]
-    edges: frozenset[tuple[int, int]]
+class DependencyGraph(Record, derived=("adjacency",)):
+    """The pairs and their edges; `adjacency` lists the sorted successors of
+    every node."""
 
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """The sorted successors of every node, built on first use."""
-        succ: list[list[int]] = [[] for _ in self.nodes]
-        for a, b in self.edges:
+    __slots__ = ("nodes", "edges", "adjacency")
+
+    def __init__(self, nodes: tuple[DependencyPair, ...], edges: frozenset[tuple[int, int]]):
+        succ: list[list[int]] = [[] for _ in nodes]
+        for a, b in edges:
             succ[a].append(b)
-        return tuple(tuple(sorted(s)) for s in succ)
+        _set(self, "nodes", nodes)
+        _set(self, "edges", edges)
+        _set(self, "adjacency", tuple(tuple(sorted(s)) for s in succ))
 
 
 def build_graph(dps: tuple[DependencyPair, ...]) -> DependencyGraph:
@@ -230,59 +226,47 @@ def embeds_weak(p: Pattern, q: Pattern) -> bool:
 # ---------------------------------------------------------------------------
 # Cycle criterion
 
-@dataclass(frozen=True)
-class SccCheck:
+class SccCheck(Record, failing_node=None, cycle=None, search_space=1):
     """The decrease check of the component `nodes` under `indices`, sorted
     by symbol.
 
     `strict` and `weak` list the nodes that decrease strictly and weakly,
     up to `failing_node`, the first that does not decrease.  Otherwise
     `cycle` is a cycle of weak nodes, if there is one.  `search_space` counts
-    the candidate assignments: 1 from `check_scc`, all of them from
-    `find_indices`, and 0, with no indices, when a symbol in the component
-    has no recursive argument.
+    the candidate assignments: all of them from `find_indices`, 1 from
+    `check_scc` unless it is told otherwise, and 0, with no indices, when a
+    symbol in the component has no recursive argument.
     """
-    nodes: tuple[int, ...]
-    indices: tuple[tuple[str, int], ...]
-    strict: tuple[int, ...]
-    weak: tuple[int, ...]
-    failing_node: int | None = None
-    cycle: tuple[int, ...] | None = None
-    search_space: int = 1
+
+    __slots__ = ("nodes", "indices", "strict", "weak", "failing_node", "cycle", "search_space")
 
     @property
     def ok(self) -> bool:
         return self.search_space > 0 and self.failing_node is None and self.cycle is None
 
 
-def find_cycle(nodes: list[int], edges: frozenset[tuple[int, int]]) -> tuple[int, ...] | None:
-    """Some cycle lying entirely within the given node set, or None."""
-    allowed = set(nodes)
-    color: dict[int, int] = {}
-    parent: dict[int, int] = {}
-    succ: dict[int, list[int]] = {v: [] for v in allowed}
-    for a, w in edges:
-        if a in allowed and w in allowed:
-            succ[a].append(w)
-    for ws in succ.values():
-        ws.sort()
+def find_cycle(nodes: list[int], successors: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
+    """Some cycle lying entirely within the given node set, or None.
 
-    for start in sorted(allowed):
-        if color.get(start):
+    `successors[v]` lists the successors of node v in ascending order; only
+    the given nodes' entries are read."""
+    color = dict.fromkeys(nodes, 0)  # 1 while on the stack, 2 once done
+    parent: dict[int, int] = {}
+    for start in sorted(color):
+        if color[start]:
             continue
-        stack = [(start, iter(succ[start]))]
+        stack = [(start, iter(successors[start]))]
         color[start] = 1
         while stack:
             v, it = stack[-1]
-            advanced = False
             for w in it:
-                if color.get(w, 0) == 0:
+                seen = color.get(w)  # None: outside the node set
+                if seen == 0:
                     color[w] = 1
                     parent[w] = v
-                    stack.append((w, iter(succ[w])))
-                    advanced = True
+                    stack.append((w, iter(successors[w])))
                     break
-                if color.get(w) == 1:
+                if seen == 1:
                     cycle = [v]
                     u = v
                     while u != w:
@@ -290,23 +274,27 @@ def find_cycle(nodes: list[int], edges: frozenset[tuple[int, int]]) -> tuple[int
                         cycle.append(u)
                     cycle.reverse()
                     return tuple(cycle)
-            if not advanced:
+            else:
                 color[v] = 2
                 stack.pop()
     return None
 
 
-def check_scc(scc: tuple[int, ...], g: DependencyGraph, indices: dict[str, int]) -> SccCheck:
+def check_scc(
+    scc: tuple[int, ...], g: DependencyGraph, indices: dict[str, int], search_space: int = 1
+) -> SccCheck:
     """Decide the decrease condition for one component under an index choice.
 
     Every node must weakly decrease from its caller index to its callee
     index, and after removing strictly decreasing nodes no cycle may remain.
+    The result carries `search_space` as given.
     """
     strict: list[int] = []
     weak: list[int] = []
 
-    def result(**found) -> SccCheck:
-        return SccCheck(scc, tuple(sorted(indices.items())), tuple(strict), tuple(weak), **found)
+    def result(failing_node: int | None = None, cycle: tuple[int, ...] | None = None) -> SccCheck:
+        return SccCheck(scc, tuple(sorted(indices.items())), tuple(strict), tuple(weak),
+                        failing_node, cycle, search_space)
 
     for i in scc:
         dp = g.nodes[i]
@@ -325,9 +313,9 @@ def check_scc(scc: tuple[int, ...], g: DependencyGraph, indices: dict[str, int])
             weak.append(i)
         else:
             return result(failing_node=i)
-    # Only the weak nodes' own edges: scanning all of g.edges here would cost
-    # O(E) per component and candidate assignment.
-    return result(cycle=find_cycle(weak, frozenset((v, w) for v in weak for w in g.adjacency[v])))
+    # Only the weak nodes' successors are read: scanning all of g.edges here
+    # would cost O(E) per component and candidate assignment.
+    return result(cycle=find_cycle(weak, g.adjacency))
 
 
 def find_indices(scc: tuple[int, ...], g: DependencyGraph) -> SccCheck:
@@ -401,24 +389,20 @@ def find_indices(scc: tuple[int, ...], g: DependencyGraph) -> SccCheck:
             continue
         combo = tuple(c + 1 for c in chosen)
         if fail == size:
-            result = check_scc(scc, g, dict(zip(symbols, combo)))
+            result = check_scc(scc, g, dict(zip(symbols, combo)), space)
             if result.ok:
-                return replace(result, search_space=space)
+                return result
         if fail > best_score:
             best, best_score = combo, fail
     assert best is not None
-    return replace(check_scc(scc, g, dict(zip(symbols, best))), search_space=space)
+    return check_scc(scc, g, dict(zip(symbols, best)), space)
 
 
 # ---------------------------------------------------------------------------
 # Verdict
 
-@dataclass(frozen=True)
-class Verdict:
-    graph: DependencyGraph
-    components: tuple[tuple[int, ...], ...]
-    certificates: tuple[SccCheck, ...]
-    failure: SccCheck | None = None
+class Verdict(Record, failure=None):
+    __slots__ = ("graph", "components", "certificates", "failure")
 
     @property
     def terminating(self) -> bool:

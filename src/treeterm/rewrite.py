@@ -22,7 +22,6 @@ forms of independent arguments cannot build more terms than that.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .syntax import print_erased
@@ -39,6 +38,7 @@ from .terms import (
     PLeaf,
     PNode,
     PWild,
+    Record,
     RewriteSystem,
     alpha_canonical,
     erase,
@@ -47,11 +47,8 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
-class ErasedRule:
-    lhs: ErasedTerm
-    rhs: ErasedTerm
-    rule_index: int
+class ErasedRule(Record):
+    __slots__ = ("lhs", "rhs", "rule_index")
 
 
 def erased_rules(sys: RewriteSystem) -> tuple[ErasedRule, ...]:
@@ -84,7 +81,7 @@ def match_lhs(lhs: ErasedTerm, t: ErasedTerm) -> dict[str, ErasedTerm] | None:
                 return None
             work.append((l.fun, u.fun))
             work.append((l.arg, u.arg))
-        elif l != u:
+        elif l is not u and l != u:  # Leaf and Node are shared instances
             return None
     return binding
 
@@ -167,15 +164,12 @@ def _has_lambda(t: ErasedTerm) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class NormalForms:
-    forms: frozenset[ErasedTerm]
+class NormalForms(Record):
+    __slots__ = ("forms",)
 
 
-@dataclass(frozen=True)
-class FuelExhausted:
-    frontier: tuple[ErasedTerm, ...]
-    steps: int
+class FuelExhausted(Record):
+    __slots__ = ("frontier", "steps")
 
 
 ReductionOutcome = NormalForms | FuelExhausted
@@ -208,11 +202,11 @@ class _Reducer:
             return (t,)
         if self.canonical:
             t = alpha_canonical(t)
-        if t in self.memo:
-            found = self.memo[t]
-            if found is None:
-                raise _Diverges((t,))
+        found = self.memo.get(t, ())  # one lookup: a term's forms are never empty
+        if found:
             return found
+        if found is None:
+            raise _Diverges((t,))
         self.memo[t] = None
         found = self._split(t) if _rigid(t) else self._search(t)
         self.memo[t] = found

@@ -6,7 +6,6 @@ The abstract syntax they read and write lives in `terms`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .terms import (
     AnnotatedTerm,
@@ -37,6 +36,7 @@ from .terms import (
     PNode,
     PVar,
     PWild,
+    Record,
     RefinementType,
     RewriteRule,
     RewriteSystem,
@@ -79,12 +79,8 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+class Token(Record):
+    __slots__ = ("kind", "text", "line", "col")
 
 
 def tokenize(text: str) -> list[Token]:
@@ -341,7 +337,7 @@ class _Parser:
         )
 
     def system(self) -> RewriteSystem:
-        signature = Signature()
+        symbols: dict[str, SymbolInfo] = {}
         rules: list[RewriteRule] = []
         while True:
             tok = self.peek()
@@ -349,14 +345,14 @@ class _Parser:
                 break
             if tok.kind == "symbol":
                 name, info = self.symbol_decl()
-                if name in signature.entries:
+                if name in symbols:
                     raise ParseError(f"symbol {name!r} declared twice", tok.line, tok.col)
-                signature.entries[name] = info
+                symbols[name] = info
             elif tok.kind == "rule":
                 rules.append(self.rule_decl())
             else:
                 raise self.fail("expected a declaration", ("symbol", "rule"))
-        return RewriteSystem(signature, tuple(rules))
+        return RewriteSystem(Signature(symbols), tuple(rules))
 
 
 def _declared_symbols(tokens: list[Token]) -> frozenset[str]:

@@ -8,14 +8,142 @@ runtime language.  The textual format lives in `syntax`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import ClassVar, Iterator, Mapping, Union
+from typing import Iterator, Mapping, Union
+
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class Loc:
-    line: int
-    col: int
+class Record:
+    """An immutable value with named fields: the base of every syntax node
+    and result type.
+
+    A subclass names its fields in `__slots__` and gives their defaults as
+    class keywords; the base builds its `__init__`.  `derived` slots are
+    filled by the subclass's own `__init__` and are not fields.  Fields in
+    `ignore` are left out of equality and hashing, and so is a source
+    location from the repr.  The hash lives in a slot: a `hashed` class
+    computes it when an instance is built, from its children's; the others
+    compute it on first use, by a walk that fills in the children's first.
+    Equality holds between records of the same class only.  It compares the
+    hashes of `hashed` records first and walks the children on an explicit
+    stack, so values of any depth compare without recursion.  A class
+    without fields has one shared instance.
+    """
+
+    __slots__ = ("_hash",)
+    _fields: tuple[str, ...] = ()
+    _compared: tuple[str, ...] = ()
+    _shown: tuple[str, ...] = ()
+    _hashed = False
+
+    def __init_subclass__(cls, derived=(), ignore=(), hashed=False, **defaults):
+        cls._fields = tuple(f for f in cls.__dict__["__slots__"] if f not in derived)
+        cls._compared = tuple(f for f in cls._fields if f not in ignore)
+        cls._shown = tuple(f for f in cls._fields if f in cls._compared or f != "loc")
+        cls._salt = hash(cls.__name__)
+        cls._hashed = hashed
+        if not cls._fields:
+            shared = object.__new__(cls)
+            _set(shared, "_hash", cls._salt)
+            cls.__new__ = staticmethod(lambda cls: shared)
+        elif "__init__" not in cls.__dict__:
+            cls.__init__ = _make_init(cls, defaults, hashed)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        stack = [self]
+        while stack:
+            node = stack[-1]
+            pending = [c for c in _records_in(node) if not hasattr(c, "_hash")]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            values = tuple(getattr(node, f) for f in node._compared)
+            _set(node, "_hash", hash((node._salt, values)))
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        if self._hashed and self._hash != other._hash:
+            return False
+        work: list[tuple[object, object]] = []
+        a, b = self, other
+        while True:
+            for f in a._compared:
+                x = getattr(a, f)
+                y = getattr(b, f)
+                if x is y:
+                    continue
+                if type(x) is tuple or isinstance(x, Record):
+                    work.append((x, y))
+                elif x != y:
+                    return False
+            # on to the next pair of records of the same class
+            while True:
+                if not work:
+                    return True
+                a, b = work.pop()
+                if type(a) is tuple:
+                    if type(b) is not tuple or len(a) != len(b):
+                        return False
+                    work.extend(zip(a, b))
+                elif not isinstance(a, Record):
+                    if a != b:
+                        return False
+                elif type(b) is not type(a) or a._hashed and a._hash != b._hash:
+                    return False
+                else:
+                    break
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._shown)
+        return f"{type(self).__name__}({fields})"
+
+
+def _records_in(node: Record) -> list[Record]:
+    """The records among the compared fields of node, inside tuples too."""
+    out = []
+    work = [getattr(node, f) for f in node._compared]
+    while work:
+        v = work.pop()
+        if isinstance(v, Record):
+            out.append(v)
+        elif type(v) is tuple:
+            work.extend(v)
+    return out
+
+
+def _make_init(cls: type, defaults: dict, hashed: bool):
+    """An `__init__` taking the fields of cls, positionally or by keyword."""
+    fields = cls._fields
+    env = {f"_{f}": getattr(cls, f).__set__ for f in fields}
+    lines = [f"    _{f}(self, {f})" for f in fields]
+    if hashed:
+        env["_hash"] = Record._hash.__set__
+        env["_salt"] = cls._salt
+        lines.append(f"    _hash(self, hash((_salt, {', '.join(cls._compared)})))")
+    exec(f"def __init__(self, {', '.join(fields)}):\n" + "\n".join(lines), env)
+    init = env["__init__"]
+    init.__defaults__ = tuple(defaults[f] for f in fields if f in defaults) or None
+    init.__qualname__ = f"{cls.__name__}.__init__"
+    return init
+
+
+class Loc(Record):
+    __slots__ = ("line", "col")
 
     def __str__(self) -> str:
         return f"{self.line}:{self.col}"
@@ -24,30 +152,24 @@ class Loc:
 # ---------------------------------------------------------------------------
 # Patterns
 
-@dataclass(frozen=True)
-class PVar:
-    name: str
+class PVar(Record, hashed=True):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class PLeaf:
-    pass
+class PLeaf(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PNode:
-    left: Pattern
-    right: Pattern
+class PNode(Record, hashed=True):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class PWild:
-    pass
+class PWild(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PBottom:
-    pass
+class PBottom(Record):
+    __slots__ = ()
 
 
 Pattern = Union[PVar, PLeaf, PNode, PWild, PBottom]
@@ -73,21 +195,16 @@ def pattern_subst(p: Pattern, mapping: Mapping[str, Pattern]) -> Pattern:
 # ---------------------------------------------------------------------------
 # Refinement types
 
-@dataclass(frozen=True)
-class Base:
-    pattern: Pattern
+class Base(Record, hashed=True):
+    __slots__ = ("pattern",)
 
 
-@dataclass(frozen=True)
-class Arrow:
-    dom: RefinementType
-    cod: RefinementType
+class Arrow(Record):
+    __slots__ = ("dom", "cod")
 
 
-@dataclass(frozen=True)
-class Forall:
-    binder: str
-    body: RefinementType
+class Forall(Record):
+    __slots__ = ("binder", "body")
 
 
 RefinementType = Union[Base, Arrow, Forall]
@@ -141,55 +258,39 @@ def quantifier_prefix(t: RefinementType) -> tuple[tuple[str, ...], RefinementTyp
 # ---------------------------------------------------------------------------
 # Annotated terms
 
-@dataclass(frozen=True)
-class TermVar:
-    name: str
-    loc: Loc | None = field(default=None, compare=False, repr=False)
+# Every annotated term keeps the location it was parsed from, which equality
+# ignores.
+
+class TermVar(Record, ignore=("loc",), loc=None):
+    __slots__ = ("name", "loc")
 
 
-@dataclass(frozen=True)
-class SymbolRef:
-    name: str
-    loc: Loc | None = field(default=None, compare=False, repr=False)
+class SymbolRef(Record, ignore=("loc",), loc=None):
+    __slots__ = ("name", "loc")
 
 
-@dataclass(frozen=True)
-class LeafCon:
-    loc: Loc | None = field(default=None, compare=False, repr=False)
+class LeafCon(Record, ignore=("loc",), loc=None):
+    __slots__ = ("loc",)
 
 
-@dataclass(frozen=True)
-class NodeCon:
-    loc: Loc | None = field(default=None, compare=False, repr=False)
+class NodeCon(Record, ignore=("loc",), loc=None):
+    __slots__ = ("loc",)
 
 
-@dataclass(frozen=True)
-class App:
-    fun: AnnotatedTerm
-    arg: AnnotatedTerm
-    loc: Loc | None = field(default=None, compare=False, repr=False)
+class App(Record, ignore=("loc",), loc=None):
+    __slots__ = ("fun", "arg", "loc")
 
 
-@dataclass(frozen=True)
-class PatApp:
-    fun: AnnotatedTerm
-    pattern: Pattern
-    loc: Loc | None = field(default=None, compare=False, repr=False)
+class PatApp(Record, ignore=("loc",), loc=None):
+    __slots__ = ("fun", "pattern", "loc")
 
 
-@dataclass(frozen=True)
-class Lam:
-    binder: str
-    annot: RefinementType
-    body: AnnotatedTerm
-    loc: Loc | None = field(default=None, compare=False, repr=False)
+class Lam(Record, ignore=("loc",), loc=None):
+    __slots__ = ("binder", "annot", "body", "loc")
 
 
-@dataclass(frozen=True)
-class PatLam:
-    binder: str
-    body: AnnotatedTerm
-    loc: Loc | None = field(default=None, compare=False, repr=False)
+class PatLam(Record, ignore=("loc",), loc=None):
+    __slots__ = ("binder", "body", "loc")
 
 
 AnnotatedTerm = Union[TermVar, SymbolRef, LeafCon, NodeCon, App, PatApp, Lam, PatLam]
@@ -244,23 +345,17 @@ def call_sites(t: AnnotatedTerm) -> list[tuple[SymbolRef, tuple[Pattern, ...]]]:
 # ---------------------------------------------------------------------------
 # Constructor terms (rule left-hand side arguments)
 
-@dataclass(frozen=True)
-class ConVar:
-    name: str
+class ConVar(Record):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class ConLeaf:
-    pass
+class ConLeaf(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ConNode:
+class ConNode(Record):
     # annotations are None when the source omitted them; minimal typing checks the others
-    ann_left: Pattern | None
-    ann_right: Pattern | None
-    left: ConstructorTerm
-    right: ConstructorTerm
+    __slots__ = ("ann_left", "ann_right", "left", "right")
 
 
 ConstructorTerm = Union[ConVar, ConLeaf, ConNode]
@@ -272,96 +367,44 @@ ConstructorTerm = Union[ConVar, ConLeaf, ConNode]
 # Every erased term has `inert`: no symbol and no lambda occurs in it, so it
 # has no redex and is its own only normal form.
 
-@dataclass(frozen=True)
-class EVar:
-    name: str
-    inert: ClassVar[bool] = True
+class EVar(Record, hashed=True):
+    __slots__ = ("name",)
+    inert = True
 
 
-@dataclass(frozen=True)
-class ESym:
-    name: str
-    inert: ClassVar[bool] = False
-
-
-@dataclass(frozen=True)
-class ELeaf:
-    inert: ClassVar[bool] = True
-
-
-@dataclass(frozen=True)
-class ENode:
-    inert: ClassVar[bool] = True
-
-
-_set = object.__setattr__
-
-
-class _Compound:
-    """An immutable erased term with children.  Its hash is computed once,
-    from the children's, and equality walks both terms with an explicit
-    stack, so deep terms compare without recursion."""
-
-    __slots__ = ("_hash",)
-    _fields: tuple[str, ...] = ()
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if type(other) is not type(self):
-            return NotImplemented
-        work = [(self, other)]
-        while work:
-            a, b = work.pop()
-            if a is b:
-                continue
-            kind = type(a)
-            if kind is not type(b):
-                return False
-            if kind is EApp:
-                if a._hash != b._hash:
-                    return False
-                work.append((a.fun, b.fun))
-                work.append((a.arg, b.arg))
-            elif kind is ELam:
-                if a._hash != b._hash or a.binder != b.binder:
-                    return False
-                work.append((a.body, b.body))
-            elif a != b:
-                return False
-        return True
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-        return f"{type(self).__name__}({fields})"
-
-
-class EApp(_Compound):
-    __slots__ = ("fun", "arg", "inert")
-    _fields = ("fun", "arg")
-
-    def __init__(self, fun: ErasedTerm, arg: ErasedTerm):
-        _set(self, "fun", fun)
-        _set(self, "arg", arg)
-        _set(self, "inert", fun.inert and arg.inert)
-        _set(self, "_hash", hash((fun, arg)))
-
-
-class ELam(_Compound):
-    __slots__ = ("binder", "body")
-    _fields = ("binder", "body")
+class ESym(Record, hashed=True):
+    __slots__ = ("name",)
     inert = False
 
-    def __init__(self, binder: str, body: ErasedTerm):
-        _set(self, "binder", binder)
-        _set(self, "body", body)
-        _set(self, "_hash", hash((binder, body)))
+
+class ELeaf(Record):
+    __slots__ = ()
+    inert = True
+
+
+class ENode(Record):
+    __slots__ = ()
+    inert = True
+
+
+class EApp(Record, derived=("inert",), hashed=True):
+    __slots__ = ("fun", "arg", "inert")
+
+    def __init__(self, fun: ErasedTerm, arg: ErasedTerm):
+        _set_fun(self, fun)
+        _set_arg(self, arg)
+        _set_inert(self, fun.inert and arg.inert)
+        _set_hash(self, hash((_EAPP_SALT, fun._hash, arg._hash)))
+
+
+_set_fun, _set_arg, _set_inert = EApp.fun.__set__, EApp.arg.__set__, EApp.inert.__set__
+_set_hash = Record._hash.__set__
+_EAPP_SALT = EApp._salt
+
+
+class ELam(Record, hashed=True):
+    __slots__ = ("binder", "body")
+    inert = False
 
 
 ErasedTerm = Union[EVar, ESym, ELeaf, ENode, EApp, ELam]
@@ -453,17 +496,14 @@ def alpha_canonical(t: ErasedTerm) -> ErasedTerm:
 # ---------------------------------------------------------------------------
 # Rules, signatures, systems
 
-@dataclass(frozen=True)
-class SymbolInfo:
-    type: RefinementType
-    recursive_count: int
-    quantifier_count: int
-    loc: Loc | None = field(default=None, compare=False, repr=False)
+class SymbolInfo(Record, ignore=("loc",), loc=None):
+    __slots__ = ("type", "recursive_count", "quantifier_count", "loc")
 
 
-@dataclass
-class Signature:
-    entries: dict[str, SymbolInfo] = field(default_factory=dict)
+class Signature(Record):
+    """The declared symbols, by name, in declaration order."""
+
+    __slots__ = ("entries",)
 
     def get(self, name: str) -> SymbolInfo | None:
         return self.entries.get(name)
@@ -475,16 +515,9 @@ class Signature:
         return iter(self.entries.items())
 
 
-@dataclass(frozen=True)
-class RewriteRule:
-    head: str
-    pattern_args: tuple[Pattern, ...]
-    recursive_args: tuple[ConstructorTerm, ...]
-    rhs: AnnotatedTerm
-    loc: Loc | None = field(default=None, compare=False, repr=False)
+class RewriteRule(Record, ignore=("loc",), loc=None):
+    __slots__ = ("head", "pattern_args", "recursive_args", "rhs", "loc")
 
 
-@dataclass
-class RewriteSystem:
-    signature: Signature
-    rules: tuple[RewriteRule, ...]
+class RewriteSystem(Record):
+    __slots__ = ("signature", "rules")

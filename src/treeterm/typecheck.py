@@ -8,9 +8,6 @@ pattern annotation is determined by its structure.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-
 from .syntax import print_pattern, print_term, print_type
 from .terms import (
     AnnotatedTerm,
@@ -33,6 +30,7 @@ from .terms import (
     PNode,
     PVar,
     PWild,
+    Record,
     RefinementType,
     RewriteRule,
     RewriteSystem,
@@ -59,13 +57,8 @@ class TypeCheckError(Exception):
         super().__init__(f"{where}{code}: {message}")
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    code: str
-    message: str
-    loc: Loc | None = None
-    rule_index: int | None = None
-    symbol: str | None = None
+class Diagnostic(Record, loc=None, rule_index=None, symbol=None):
+    __slots__ = ("code", "message", "loc", "rule_index", "symbol")
 
     def __str__(self) -> str:
         parts = [f"{self.code}: {self.message}"]
@@ -109,39 +102,29 @@ def type_sub(t: RefinementType, u: RefinementType) -> bool:
 # ---------------------------------------------------------------------------
 # Polarity
 
-class Polarity(Enum):
-    POSITIVE = "positive"
-    NEGATIVE = "negative"
-    BOTH = "both"
-    ABSENT = "absent"
+POSITIVE = "positive"
+NEGATIVE = "negative"
+BOTH = "both"
+ABSENT = "absent"
+_FLIP = {POSITIVE: NEGATIVE, NEGATIVE: POSITIVE}
 
 
-def _flip(p: Polarity) -> Polarity:
-    if p is Polarity.POSITIVE:
-        return Polarity.NEGATIVE
-    if p is Polarity.NEGATIVE:
-        return Polarity.POSITIVE
-    return p
-
-
-def _join(a: Polarity, b: Polarity) -> Polarity:
-    if a is Polarity.ABSENT:
+def _join(a: str, b: str) -> str:
+    if a == ABSENT or a == b:
         return b
-    if b is Polarity.ABSENT:
-        return a
-    if a is b:
-        return a
-    return Polarity.BOTH
+    return a if b == ABSENT else BOTH
 
 
-def polarity(var: str, t: RefinementType) -> Polarity:
-    """Sign of the occurrences of a pattern variable in a type."""
+def polarity(var: str, t: RefinementType) -> str:
+    """Sign of the occurrences of a pattern variable in a type: one of
+    POSITIVE, NEGATIVE, BOTH and ABSENT."""
     if isinstance(t, Base):
-        return Polarity.POSITIVE if var in pattern_vars(t.pattern) else Polarity.ABSENT
+        return POSITIVE if var in pattern_vars(t.pattern) else ABSENT
     if isinstance(t, Arrow):
-        return _join(_flip(polarity(var, t.dom)), polarity(var, t.cod))
+        dom = polarity(var, t.dom)
+        return _join(_FLIP.get(dom, dom), polarity(var, t.cod))
     if t.binder == var:
-        return Polarity.ABSENT
+        return ABSENT
     return polarity(var, t.body)
 
 
@@ -206,11 +189,11 @@ def validate_signature(sig: Signature) -> list[Diagnostic]:
             continue
         for i in range(info.recursive_count):
             pol = polarity(quants[i], rest)
-            if pol not in (Polarity.POSITIVE, Polarity.ABSENT):
+            if pol not in (POSITIVE, ABSENT):
                 diags.append(Diagnostic(
                     "E-SIG-POLARITY",
                     f"quantifier {quants[i]!r} of symbol {name!r} occurs "
-                    f"{pol.value} in the result type",
+                    f"{pol} in the result type",
                     loc=info.loc,
                     symbol=name,
                 ))
@@ -220,9 +203,8 @@ def validate_signature(sig: Signature) -> list[Diagnostic]:
 # ---------------------------------------------------------------------------
 # Contexts and synthesis
 
-@dataclass(frozen=True)
-class Context:
-    bindings: tuple[tuple[str, RefinementType], ...] = ()
+class Context(Record, bindings=()):
+    __slots__ = ("bindings",)
 
     def lookup(self, name: str) -> RefinementType | None:
         for n, t in self.bindings:
@@ -320,12 +302,8 @@ def synthesize(sig: Signature, ctx: Context, t: AnnotatedTerm) -> RefinementType
 # ---------------------------------------------------------------------------
 # Minimal typing of left-hand sides
 
-@dataclass(frozen=True)
-class ValidatedRule:
-    rule: RewriteRule
-    context: Context
-    lhs_type: RefinementType
-    index: int = 0
+class ValidatedRule(Record, index=0):
+    __slots__ = ("rule", "context", "lhs_type", "index")
 
     @property
     def recursive_patterns(self) -> tuple[Pattern, ...]:
@@ -436,10 +414,8 @@ def min_type_lhs(rule: RewriteRule, sig: Signature, index: int = 0) -> Validated
 # ---------------------------------------------------------------------------
 # Rule and system validation
 
-@dataclass
-class ValidatedSystem:
-    system: RewriteSystem
-    rules: tuple[ValidatedRule, ...]
+class ValidatedSystem(Record):
+    __slots__ = ("system", "rules")
 
     @property
     def signature(self) -> Signature:

@@ -6,8 +6,7 @@ the acceptance runs are reproducible.
 from __future__ import annotations
 
 import random
-from collections import deque
-from dataclasses import replace
+from collections import defaultdict, deque
 from itertools import count, permutations, product
 
 from treeterm.analysis import (
@@ -690,7 +689,7 @@ def random_annotated_term(rng: random.Random, symbols: tuple[str, ...], depth: i
 def random_system(rng: random.Random) -> RewriteSystem:
     """A syntactically well-formed system; not necessarily type-correct."""
     names = tuple(rng.sample(SYMBOL_POOL, rng.randint(1, 3)))
-    signature = Signature()
+    signature = Signature({})
     for name in names:
         k = rng.randint(0, 2)
         extra = rng.randint(0, 1)
@@ -727,6 +726,14 @@ def has_simple_cycle(nodes: list[int], edges: frozenset[tuple[int, int]]) -> boo
             if closed:
                 return True
     return False
+
+
+def successors(edges: frozenset[tuple[int, int]]) -> defaultdict[int, list[int]]:
+    """The ascending successor list of every node, as `find_cycle` reads them."""
+    out: defaultdict[int, list[int]] = defaultdict(list)
+    for a, b in sorted(edges):
+        out[a].append(b)
+    return out
 
 
 def random_digraph(rng: random.Random, n: int, density: float = 0.3) -> frozenset[tuple[int, int]]:
@@ -791,7 +798,7 @@ def reference_find_indices(scc: tuple[int, ...], g: DependencyGraph) -> SccCheck
         return SccCheck(scc, (), (), (), search_space=0)
     best: SccCheck | None = None
     for combo in product(*(range(1, arity[s] + 1) for s in symbols)):
-        result = replace(check_scc(scc, g, dict(zip(symbols, combo))), search_space=space)
+        result = check_scc(scc, g, dict(zip(symbols, combo)), space)
         if result.ok:
             return result
         if best is None or len(result.strict) + len(result.weak) > len(best.strict) + len(best.weak):

@@ -24,7 +24,7 @@ from treeterm.syntax import parse_pattern, parse_system, print_pattern
 from treeterm.terms import pattern_subst
 from treeterm.typecheck import validate_system
 from conftest import APP_PATH, FGIH_PATH, load_validated
-from helpers import clique_text, reference_edges, ring_text, unify_patterns, wide_text
+from helpers import clique_text, reference_edges, ring_text, successors, unify_patterns, wide_text
 
 
 def pat(text: str):
@@ -296,23 +296,23 @@ def test_strict_embedding_is_transitive_on_samples():
 # Cycle detection
 
 def test_find_cycle_detects_self_loop():
-    got = find_cycle([0], frozenset({(0, 0)}))
+    got = find_cycle([0], successors({(0, 0)}))
     assert got == (0,)
 
 
 def test_find_cycle_detects_two_cycle():
-    got = find_cycle([0, 1], frozenset({(0, 1), (1, 0)}))
+    got = find_cycle([0, 1], successors({(0, 1), (1, 0)}))
     assert got is not None
     assert set(got) == {0, 1}
 
 
 def test_find_cycle_none_on_dag():
-    assert find_cycle([0, 1, 2], frozenset({(0, 1), (1, 2), (0, 2)})) is None
+    assert find_cycle([0, 1, 2], successors({(0, 1), (1, 2), (0, 2)})) is None
 
 
 def test_find_cycle_restricted_to_given_nodes():
     # the 1 -> 0 return edge exists but node 1 is out of scope
-    assert find_cycle([0], frozenset({(0, 1), (1, 0)})) is None
+    assert find_cycle([0], successors({(0, 1), (1, 0)})) is None
 
 
 # ---------------------------------------------------------------------------
@@ -328,12 +328,13 @@ def test_check_scc_fgih_f_g_loop(fgih_validated):
 
 def test_check_scc_searches_cycles_over_the_weak_nodes_edges_only(fgih_validated, monkeypatch):
     # handing find_cycle every edge of the graph made each component and
-    # candidate assignment cost O(E), quadratic over many small components
+    # candidate assignment cost O(E), quadratic over many small components;
+    # find_cycle reads the successors of the weak nodes only
     seen = []
 
-    def recording(nodes, edges):
-        seen.append((tuple(nodes), edges))
-        return find_cycle(nodes, edges)
+    def recording(nodes, succ):
+        seen.append((tuple(nodes), {(v, w) for v in nodes for w in succ[v]}))
+        return find_cycle(nodes, succ)
 
     monkeypatch.setattr(analysis, "find_cycle", recording)
     verdict = check_criterion(fgih_validated)
@@ -381,9 +382,9 @@ def test_find_indices_runs_check_scc_on_few_candidates(j, monkeypatch):
     # indices pass every node, plus the reported near-miss.
     calls = []
 
-    def counting(scc, g, indices):
+    def counting(scc, g, indices, search_space=1):
         calls.append(indices)
-        return check_scc(scc, g, indices)
+        return check_scc(scc, g, indices, search_space)
 
     monkeypatch.setattr(analysis, "check_scc", counting)
     verdict = check_criterion(system(wide_text(8, 4, j)))

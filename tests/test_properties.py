@@ -45,7 +45,8 @@ from treeterm.terms import (
     type_free_vars,
 )
 from treeterm.typecheck import (
-    Polarity,
+    ABSENT,
+    POSITIVE,
     decompose_symbol,
     min_type_lhs,
     pattern_sub,
@@ -255,7 +256,7 @@ def test_accepted_signatures_have_positive_recursive_quantifiers(rng):
     for name, info in sys.signature:
         quants, _, rest = decompose_symbol(name, sys.signature)
         for binder in quants[: info.recursive_count]:
-            assert polarity(binder, rest) in (Polarity.POSITIVE, Polarity.ABSENT)
+            assert polarity(binder, rest) in (POSITIVE, ABSENT)
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,14 @@ from treeterm.syntax import (
 )
 from treeterm.terms import Base, PVar
 from treeterm.typecheck import (
+    ABSENT,
+    BOTH,
     Context,
     EMPTY_CONTEXT,
     LEAF_TYPE,
+    NEGATIVE,
     NODE_TYPE,
-    Polarity,
+    POSITIVE,
     TypeCheckError,
     decompose_symbol,
     min_type_lhs,
@@ -102,15 +105,15 @@ def test_type_sub_mismatched_shapes():
 # Polarity
 
 def test_polarity_cases():
-    assert polarity("a", parse_type("B(a)")) is Polarity.POSITIVE
-    assert polarity("a", parse_type("B(a) -> B(leaf)")) is Polarity.NEGATIVE
-    assert polarity("a", parse_type("B(a) -> B(a)")) is Polarity.BOTH
-    assert polarity("a", parse_type("B(leaf)")) is Polarity.ABSENT
+    assert polarity("a", parse_type("B(a)")) == POSITIVE
+    assert polarity("a", parse_type("B(a) -> B(leaf)")) == NEGATIVE
+    assert polarity("a", parse_type("B(a) -> B(a)")) == BOTH
+    assert polarity("a", parse_type("B(leaf)")) == ABSENT
     # double flip
-    assert polarity("a", parse_type("(B(a) -> B(leaf)) -> B(leaf)")) is Polarity.POSITIVE
+    assert polarity("a", parse_type("(B(a) -> B(leaf)) -> B(leaf)")) == POSITIVE
     # shadowed by a quantifier
-    assert polarity("a", parse_type("forall a. B(a)")) is Polarity.ABSENT
-    assert polarity("a", parse_type("forall b. B(a)")) is Polarity.POSITIVE
+    assert polarity("a", parse_type("forall a. B(a)")) == ABSENT
+    assert polarity("a", parse_type("forall b. B(a)")) == POSITIVE
 
 
 # ---------------------------------------------------------------------------
