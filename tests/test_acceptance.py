@@ -67,8 +67,8 @@ from helpers import (
     random_type,
     random_valuation,
     strictly_above_pattern,
-    successors,
     strictly_embedding_term,
+    successors,
     term_arity,
     term_matching_pattern,
     term_with_pattern_form,
