@@ -281,7 +281,7 @@ def find_cycle(nodes: list[int], successors: Sequence[Sequence[int]]) -> tuple[i
 
 
 def check_scc(
-    scc: tuple[int, ...], g: DependencyGraph, indices: dict[str, int], search_space: int = 1
+    scc: tuple[int, ...], g: DependencyGraph, indices: dict[str, int], search_space: int
 ) -> SccCheck:
     """Decide the decrease condition for one component under an index choice.
 
@@ -349,7 +349,7 @@ def find_indices(scc: tuple[int, ...], g: DependencyGraph) -> SccCheck:
     if space == 0:
         return SccCheck(scc, (), (), (), search_space=0)
     if space == 1:  # one candidate: no tables to build
-        return check_scc(scc, g, dict.fromkeys(symbols, 1))
+        return check_scc(scc, g, dict.fromkeys(symbols, 1), space)
     level = {s: d for d, s in enumerate(symbols)}
     # checks[d]: (position in scc, caller level, callee level, weak table)
     # for the nodes whose later symbol is symbols[d]

@@ -390,6 +390,13 @@ class ENode(Record):
 class EApp(Record, derived=("inert",), hashed=True):
     __slots__ = ("fun", "arg", "inert")
 
+    # Written out because the reducer builds EApps in its inner loop.  The
+    # generated `__init__`, with `inert` filled by a function and the hash
+    # taken through each child's `__hash__`, made `EApp(EApp(n, l), l)` ~1.6x
+    # slower and a reduce pass over the seed-1 ops 6-8% slower (two sets of
+    # 10 alternating in-process passes, 2 shared vCPUs).  The setters are
+    # module globals because the slot descriptors exist only after the class
+    # body has run, and reading them from the class on each call cost ~20%.
     def __init__(self, fun: ErasedTerm, arg: ErasedTerm):
         _set_fun(self, fun)
         _set_arg(self, arg)

@@ -320,7 +320,7 @@ def test_find_cycle_restricted_to_given_nodes():
 
 def test_check_scc_fgih_f_g_loop(fgih_validated):
     g = build_graph(extract_dps(fgih_validated))
-    result = check_scc((0, 2), g, {"f": 1, "g": 1})
+    result = check_scc((0, 2), g, {"f": 1, "g": 1}, 1)
     assert result.ok
     assert result.strict == (2,)
     assert result.weak == (0,)
@@ -329,27 +329,46 @@ def test_check_scc_fgih_f_g_loop(fgih_validated):
 def test_check_scc_searches_cycles_over_the_weak_nodes_edges_only(fgih_validated, monkeypatch):
     # handing find_cycle every edge of the graph made each component and
     # candidate assignment cost O(E), quadratic over many small components;
-    # find_cycle reads the successors of the weak nodes only
+    # check_scc hands over the graph's own successor table, and find_cycle
+    # reads the successor list of each weak node once and of no other node
     seen = []
 
+    class ReadLog:
+        """A successor table that logs every node whose list is read."""
+
+        def __init__(self, succ):
+            self.succ, self.read = succ, []
+
+        def __getitem__(self, v):
+            self.read.append(v)
+            return self.succ[v]
+
+        def __len__(self):
+            return len(self.succ)
+
     def recording(nodes, succ):
-        seen.append((tuple(nodes), {(v, w) for v in nodes for w in succ[v]}))
-        return find_cycle(nodes, succ)
+        log = ReadLog(succ)
+        seen.append((tuple(nodes), log))
+        return find_cycle(nodes, log)
 
     monkeypatch.setattr(analysis, "find_cycle", recording)
     verdict = check_criterion(fgih_validated)
     g = verdict.graph
-    assert verdict.terminating and seen
-    for weak, edges in seen:
-        assert edges == {(v, w) for (v, w) in g.edges if v in weak}
+    assert verdict.terminating and any(weak for weak, _ in seen)
+    for weak, log in seen:
+        assert log.succ is g.adjacency
+        # no cycle among the weak nodes, so every one of them is visited
+        assert sorted(log.read) == sorted(weak)
+        read_edges = {(v, w) for v in log.read for w in log.succ[v]}
+        assert read_edges == {(v, w) for (v, w) in g.edges if v in weak}
 
 
 def test_check_scc_rejects_missing_index(fgih_validated):
     g = build_graph(extract_dps(fgih_validated))
     with pytest.raises(ValueError):
-        check_scc((0, 2), g, {"f": 1})
+        check_scc((0, 2), g, {"f": 1}, 1)
     with pytest.raises(ValueError):
-        check_scc((0, 2), g, {"f": 1, "g": 2})
+        check_scc((0, 2), g, {"f": 1, "g": 2}, 1)
 
 
 def test_find_indices_fgih(fgih_validated):
@@ -382,7 +401,7 @@ def test_find_indices_runs_check_scc_on_few_candidates(j, monkeypatch):
     # indices pass every node, plus the reported near-miss.
     calls = []
 
-    def counting(scc, g, indices, search_space=1):
+    def counting(scc, g, indices, search_space):
         calls.append(indices)
         return check_scc(scc, g, indices, search_space)
 

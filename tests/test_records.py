@@ -140,4 +140,3 @@ def test_deep_values_compare_and_hash_without_recursion(build, leaf, other_leaf)
     assert first != other
     assert first == second
     assert hash(first) == hash(second)
-    assert first != other
