@@ -58,8 +58,6 @@ def extract_dps(vsys: ValidatedSystem) -> tuple[DependencyPair, ...]:
     seen: set[DependencyPair] = set()
     for vr in vsys.rules:
         for ref, args in call_sites(vr.rule.rhs):
-            if ref.name not in vsys.signature:
-                continue
             lhs, rhs = _canonicalize(vr.recursive_patterns, args)
             dp = DependencyPair(vr.rule.head, lhs, ref.name, rhs, rule_index=vr.index)
             if dp not in seen:

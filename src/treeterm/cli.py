@@ -202,7 +202,7 @@ def cmd_typecheck(args: argparse.Namespace) -> int:
         print(f"  context: {context if context else '(empty)'}")
         print(f"  lhs type: {print_type(vr.lhs_type)}")
         print("  rhs: ok")
-    print(f"ok: {len(validated.rules)} rule(s), {len(list(system.signature))} symbol(s)")
+    print(f"ok: {len(validated.rules)} rule(s), {len(system.signature.entries)} symbol(s)")
     return EXIT_OK
 
 

@@ -74,7 +74,7 @@ def verdict_lines(path: str, system: RewriteSystem, verdict: Verdict) -> list[st
     graph = verdict.graph
     lines = [
         ("TERMINATING: " if verdict.terminating else "UNKNOWN: ") + path,
-        f"  rules: {len(system.rules)}, symbols: {len(list(system.signature))}",
+        f"  rules: {len(system.rules)}, symbols: {len(system.signature.entries)}",
         f"  dependency pairs: {len(graph.nodes)}, edges: {len(graph.edges)}",
         f"  nontrivial SCCs: {sum(is_nontrivial(c, graph) for c in verdict.components)}",
     ]

@@ -44,7 +44,6 @@ from .terms import (
     SymbolInfo,
     SymbolRef,
     TermVar,
-    quantifier_prefix,
 )
 
 
@@ -268,11 +267,9 @@ class _Parser:
         self.expect("recursive")
         count_tok = self.expect("nat")
         self.expect(";")
-        quants, _ = quantifier_prefix(ty)
         info = SymbolInfo(
             type=ty,
             recursive_count=int(count_tok.text),
-            quantifier_count=len(quants),
             loc=Loc(start.line, start.col),
         )
         return name_tok.text, info
@@ -303,7 +300,7 @@ class _Parser:
         pats.reverse()
         if isinstance(t, (TermVar, SymbolRef)):
             return t.name, tuple(pats), tuple(args)
-        where = getattr(t, "loc", None) or loc
+        where = t.loc or loc
         raise ParseError(
             "rule left-hand side must be a symbol applied to pattern arguments "
             "and then constructor arguments",
@@ -328,7 +325,7 @@ class _Parser:
                 and isinstance(head.fun.fun, NodeCon)
             ):
                 return ConNode(head.fun.pattern, head.pattern, left, right)
-        where = getattr(t, "loc", None) or loc
+        where = t.loc or loc
         raise ParseError(
             "rule left-hand side arguments must be constructor terms "
             "(variables, Leaf, or Node with zero or two pattern annotations)",

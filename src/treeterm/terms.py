@@ -504,7 +504,7 @@ def alpha_canonical(t: ErasedTerm) -> ErasedTerm:
 # Rules, signatures, systems
 
 class SymbolInfo(Record, ignore=("loc",), loc=None):
-    __slots__ = ("type", "recursive_count", "quantifier_count", "loc")
+    __slots__ = ("type", "recursive_count", "loc")
 
 
 class Signature(Record):

@@ -35,6 +35,7 @@ from .terms import (
     RewriteRule,
     RewriteSystem,
     Signature,
+    SymbolInfo,
     SymbolRef,
     TermVar,
     call_sites,
@@ -131,12 +132,18 @@ def polarity(var: str, t: RefinementType) -> str:
 # ---------------------------------------------------------------------------
 # Signature validation
 
-def decompose_symbol(name: str, sig: Signature) -> tuple[tuple[str, ...], tuple[RefinementType, ...], RefinementType]:
-    """Split a symbol's type into quantifiers, recursive domains, and the rest."""
-    info = sig.get(name)
-    if info is None:
-        raise TypeCheckError("E-UNDECLARED-SYMBOL", f"symbol {name!r} is not declared")
+Split = tuple[tuple[str, ...], tuple[RefinementType, ...], RefinementType]
+
+
+def decompose_symbol(name: str, info: SymbolInfo) -> Split:
+    """Split a symbol's type into quantifiers, recursive domains and the rest; check the shape."""
     quants, body = quantifier_prefix(info.type)
+    if len(set(quants)) != len(quants):
+        raise TypeCheckError(
+            "E-SIG-DISTINCT",
+            f"quantifiers of symbol {name!r} are not pairwise distinct",
+            loc=info.loc,
+        )
     k = info.recursive_count
     if k > len(quants):
         raise TypeCheckError(
@@ -169,35 +176,28 @@ def decompose_symbol(name: str, sig: Signature) -> tuple[tuple[str, ...], tuple[
     return quants, tuple(domains), rest
 
 
-def validate_signature(sig: Signature) -> list[Diagnostic]:
-    """Check every symbol against the required type shape; empty list means valid."""
+def validate_signature(sig: Signature) -> dict[str, Split] | list[Diagnostic]:
+    """Check every symbol's type; returns the split of each by name, or the list of problems."""
+    splits: dict[str, Split] = {}
     diags: list[Diagnostic] = []
     for name, info in sig:
-        quants, _ = quantifier_prefix(info.type)
-        if len(set(quants)) != len(quants):
-            diags.append(Diagnostic(
-                "E-SIG-DISTINCT",
-                f"quantifiers of symbol {name!r} are not pairwise distinct",
-                loc=info.loc,
-                symbol=name,
-            ))
-            continue
         try:
-            _, _, rest = decompose_symbol(name, sig)
+            splits[name] = decompose_symbol(name, info)
         except TypeCheckError as e:
             diags.append(Diagnostic(e.code, e.message, loc=e.loc, symbol=name))
             continue
-        for i in range(info.recursive_count):
-            pol = polarity(quants[i], rest)
+        quants, domains, rest = splits[name]
+        for q in quants[: len(domains)]:
+            pol = polarity(q, rest)
             if pol not in (POSITIVE, ABSENT):
                 diags.append(Diagnostic(
                     "E-SIG-POLARITY",
-                    f"quantifier {quants[i]!r} of symbol {name!r} occurs "
+                    f"quantifier {q!r} of symbol {name!r} occurs "
                     f"{pol} in the result type",
                     loc=info.loc,
                     symbol=name,
                 ))
-    return diags
+    return diags or splits
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +321,7 @@ def _template(c: ConstructorTerm) -> Pattern:
     return PLeaf()
 
 
-def min_type_lhs(rule: RewriteRule, sig: Signature, index: int = 0) -> ValidatedRule:
+def min_type_lhs(rule: RewriteRule, splits: dict[str, Split], index: int = 0) -> ValidatedRule:
     """Match a rule's left-hand side against its forced minimal typing.
 
     The recursive arguments determine their patterns up to the choice of one
@@ -330,10 +330,10 @@ def min_type_lhs(rule: RewriteRule, sig: Signature, index: int = 0) -> Validated
     non-recursive quantifier positions.  The right-hand side is left to
     `validate_rule`.
     """
-    quants, _, rest = decompose_symbol(rule.head, sig)
-    info = sig.get(rule.head)
-    assert info is not None
-    n, k = info.quantifier_count, info.recursive_count
+    if rule.head not in splits:
+        raise TypeCheckError("E-UNDECLARED-SYMBOL", f"symbol {rule.head!r} is not declared", rule.loc)
+    quants, domains, rest = splits[rule.head]
+    n, k = len(quants), len(domains)
     if len(rule.pattern_args) != n:
         raise TypeCheckError(
             "E-MIN-ARITY",
@@ -417,21 +417,19 @@ def min_type_lhs(rule: RewriteRule, sig: Signature, index: int = 0) -> Validated
 class ValidatedSystem(Record):
     __slots__ = ("system", "rules")
 
-    @property
-    def signature(self) -> Signature:
-        return self.system.signature
 
-
-def validate_rule(rule: RewriteRule, sig: Signature, index: int = 0) -> ValidatedRule | list[Diagnostic]:
+def validate_rule(
+    rule: RewriteRule, sig: Signature, splits: dict[str, Split], index: int = 0
+) -> ValidatedRule | list[Diagnostic]:
     """Check one rule; returns the validated rule or the list of problems."""
 
     def diag(code: str, message: str, loc: Loc | None = rule.loc) -> Diagnostic:
         return Diagnostic(code, message, loc=loc, rule_index=index, symbol=rule.head)
 
     try:
-        vr = min_type_lhs(rule, sig, index)
+        vr = min_type_lhs(rule, splits, index)
     except TypeCheckError as e:
-        return [diag(e.code, e.message, e.loc or rule.loc)]
+        return [diag(e.code, e.message, e.loc)]
 
     diags: list[Diagnostic] = []
     lhs_vars = {name for name, _ in vr.context.bindings}
@@ -449,12 +447,12 @@ def validate_rule(rule: RewriteRule, sig: Signature, index: int = 0) -> Validate
         ))
 
     for ref, patterns in call_sites(rule.rhs):
-        info = sig.get(ref.name)
-        if info is not None and len(patterns) != info.quantifier_count:
+        split = splits.get(ref.name)
+        if split is not None and len(patterns) != len(split[0]):
             diags.append(diag(
                 "E-PARTIAL-PATTERN-APP",
                 f"symbol {ref.name!r} is applied to {len(patterns)} pattern arguments, "
-                f"expected {info.quantifier_count}",
+                f"expected {len(split[0])}",
                 ref.loc or rule.loc,
             ))
 
@@ -476,12 +474,13 @@ def validate_rule(rule: RewriteRule, sig: Signature, index: int = 0) -> Validate
 
 def validate_system(sys: RewriteSystem) -> ValidatedSystem | list[Diagnostic]:
     """Validate the signature and every rule; returns all problems when invalid."""
-    diags = validate_signature(sys.signature)
-    if diags:
-        return diags
+    splits = validate_signature(sys.signature)
+    if isinstance(splits, list):
+        return splits
+    diags: list[Diagnostic] = []
     validated: list[ValidatedRule] = []
     for i, rule in enumerate(sys.rules):
-        result = validate_rule(rule, sys.signature, index=i)
+        result = validate_rule(rule, sys.signature, splits, index=i)
         if isinstance(result, list):
             diags.extend(result)
         else:

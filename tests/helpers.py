@@ -690,6 +690,7 @@ def random_system(rng: random.Random) -> RewriteSystem:
     """A syntactically well-formed system; not necessarily type-correct."""
     names = tuple(rng.sample(SYMBOL_POOL, rng.randint(1, 3)))
     signature = Signature({})
+    quant_counts: dict[str, int] = {}
     for name in names:
         k = rng.randint(0, 2)
         extra = rng.randint(0, 1)
@@ -700,12 +701,12 @@ def random_system(rng: random.Random) -> RewriteSystem:
             ty = Arrow(Base(PVar(q)), ty)
         for q in reversed(quants):
             ty = Forall(q, ty)
-        signature.entries[name] = SymbolInfo(ty, k, len(quants))
+        signature.entries[name] = SymbolInfo(ty, k)
+        quant_counts[name] = len(quants)
     rules = []
     for _ in range(rng.randint(0, 3)):
         head = rng.choice(names)
-        info = signature.entries[head]
-        pats = tuple(random_pattern(rng, 2) for _ in range(info.quantifier_count))
+        pats = tuple(random_pattern(rng, 2) for _ in range(quant_counts[head]))
         cons = tuple(random_constructor(rng, 1) for _ in range(rng.randint(0, 2)))
         rhs = random_annotated_term(rng, names, 3)
         rules.append(RewriteRule(head, pats, cons, rhs))

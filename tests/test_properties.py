@@ -47,7 +47,6 @@ from treeterm.terms import (
 from treeterm.typecheck import (
     ABSENT,
     POSITIVE,
-    decompose_symbol,
     min_type_lhs,
     pattern_sub,
     polarity,
@@ -241,9 +240,10 @@ def test_pattern_sub_constructed_chain(rng):
 
 def test_min_typing_deterministic_and_minimal():
     for system in (FGIH, APP):
+        splits = validate_signature(system.signature)
         for rule in system.rules:
-            first = min_type_lhs(rule, system.signature)
-            second = min_type_lhs(rule, system.signature)
+            first = min_type_lhs(rule, splits)
+            second = min_type_lhs(rule, splits)
             assert first == second
             assert all(pattern_is_minimal(p) for p in first.recursive_patterns)
 
@@ -252,9 +252,10 @@ def test_min_typing_deterministic_and_minimal():
 @settings(max_examples=150)
 def test_accepted_signatures_have_positive_recursive_quantifiers(rng):
     sys = random_system(rng)
-    assume(validate_signature(sys.signature) == [])
+    splits = validate_signature(sys.signature)
+    assume(isinstance(splits, dict))
     for name, info in sys.signature:
-        quants, _, rest = decompose_symbol(name, sys.signature)
+        quants, _, rest = splits[name]
         for binder in quants[: info.recursive_count]:
             assert polarity(binder, rest) in (POSITIVE, ABSENT)
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import pytest
 
+from treeterm import typecheck
 from treeterm.syntax import (
     parse_pattern,
     parse_system,
@@ -11,7 +12,7 @@ from treeterm.syntax import (
     print_pattern,
     print_type,
 )
-from treeterm.terms import Base, PVar
+from treeterm.terms import Base, Loc, PVar
 from treeterm.typecheck import (
     ABSENT,
     BOTH,
@@ -33,7 +34,7 @@ from treeterm.typecheck import (
     validate_system,
 )
 from conftest import FGIH_PATH, APP_PATH, NONMINIMAL_PATH, load
-from helpers import check
+from helpers import check, clique_text, ring_text
 
 
 def sub(a: str, b: str) -> bool:
@@ -119,9 +120,16 @@ def test_polarity_cases():
 # ---------------------------------------------------------------------------
 # Signature validation
 
+def splits_of(sig):
+    """The result of `validate_signature`, checked to hold the split of every symbol."""
+    splits = validate_signature(sig)
+    assert list(splits) == [name for name, _ in sig]
+    return splits
+
+
 def test_fixture_signatures_are_valid():
     for path in (APP_PATH, FGIH_PATH):
-        assert validate_signature(load(path).signature) == []
+        splits_of(load(path).signature)
 
 
 def sig_of(text: str):
@@ -155,25 +163,48 @@ def test_signature_negative_polarity_rejected():
 
 def test_signature_absent_result_occurrence_is_fine():
     # the recursive quantifier may simply not occur in the result
-    assert validate_signature(sig_of("symbol g : forall a. B(a) -> B(leaf) recursive 1;")) == []
+    splits_of(sig_of("symbol g : forall a. B(a) -> B(leaf) recursive 1;"))
 
 
 def test_signature_declared_smaller_than_maximal_is_fine():
     # declaring fewer recursive arguments than the shape would allow is legal
-    assert validate_signature(sig_of(
+    splits_of(sig_of(
         "symbol app : forall a b. (B(a) -> B(b)) -> B(a) -> B(b) recursive 0;"
-    )) == []
+    ))
 
 
 def test_decompose_symbol_shapes():
     sig = load(FGIH_PATH).signature
-    quants, domains, rest = decompose_symbol("i", sig)
+    quants, domains, rest = decompose_symbol("i", sig.get("i"))
     assert quants == ("a",)
     assert domains == (Base(PVar("a")),)
     assert rest == Base(PVar("a"))
-    with pytest.raises(TypeCheckError) as err:
-        decompose_symbol("nope", sig)
-    assert err.value.code == "E-UNDECLARED-SYMBOL"
+
+
+def test_signature_diagnostics_keep_their_order():
+    # one symbol per shape error, then one with two negative recursive quantifiers
+    diags = validate_signature(sig_of(
+        "symbol f : forall a a. B(a) -> B(a) -> B(leaf) recursive 2;\n"
+        "symbol g : forall a. B(a) -> B(leaf) recursive 2;\n"
+        "symbol ok : forall a. B(a) -> B(a) recursive 1;\n"
+        "symbol h : forall a. B(a) recursive 1;\n"
+        "symbol i : forall a b. B(a) -> B(leaf) -> B(a) recursive 2;\n"
+        "symbol j : forall a b. B(a) -> B(b) -> (B(a) -> B(b) -> B(leaf)) recursive 2;\n"
+    ))
+    assert [(d.code, d.symbol, d.message, str(d.loc)) for d in diags] == [
+        ("E-SIG-DISTINCT", "f", "quantifiers of symbol 'f' are not pairwise distinct", "1:1"),
+        ("E-SIG-RECURSIVE-COUNT", "g",
+         "symbol 'g' declares 2 recursive arguments but only 1 quantifiers", "2:1"),
+        ("E-SIG-SHAPE", "h",
+         "symbol 'h' declares 1 recursive arguments but its type has only 0 argument positions",
+         "4:1"),
+        ("E-SIG-SHAPE", "i",
+         "recursive argument 2 of symbol 'i' must have type B(b), found B(leaf)", "5:1"),
+        ("E-SIG-POLARITY", "j",
+         "quantifier 'a' of symbol 'j' occurs negative in the result type", "6:1"),
+        ("E-SIG-POLARITY", "j",
+         "quantifier 'b' of symbol 'j' occurs negative in the result type", "6:1"),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +312,7 @@ def test_check_subsumes():
 
 def test_min_type_fgih_node_rule():
     system = load(FGIH_PATH)
-    result = min_type_lhs(system.rules[3], system.signature)  # i[node(a,b)] (Node[a,b] x y)
+    result = min_type_lhs(system.rules[3], splits_of(system.signature))  # i[node(a,b)] (Node[a,b] x y)
     assert str(result.context) == "x : B(a), y : B(b)"
     assert print_type(result.lhs_type) == "B(node(a,b))"
     assert [print_pattern(p) for p in result.recursive_patterns] == ["node(a,b)"]
@@ -289,7 +320,7 @@ def test_min_type_fgih_node_rule():
 
 def test_min_type_fgih_leaf_rule_gives_wildcard_type():
     system = load(FGIH_PATH)
-    result = min_type_lhs(system.rules[2], system.signature)  # g[leaf] Leaf
+    result = min_type_lhs(system.rules[2], splits_of(system.signature))  # g[leaf] Leaf
     assert str(result.context) == ""
     assert print_type(result.lhs_type) == "B(_)"
     assert [print_pattern(p) for p in result.recursive_patterns] == ["leaf"]
@@ -297,13 +328,13 @@ def test_min_type_fgih_leaf_rule_gives_wildcard_type():
 
 def test_min_type_app_leaf_rule_gives_leaf_type():
     system = load(APP_PATH)
-    result = min_type_lhs(system.rules[3], system.signature)  # g[leaf] Leaf (app system)
+    result = min_type_lhs(system.rules[3], splits_of(system.signature))  # g[leaf] Leaf (app system)
     assert print_type(result.lhs_type) == "B(leaf)"
 
 
 def test_min_type_zero_argument_rule():
     system = load(APP_PATH)
-    result = min_type_lhs(system.rules[1], system.signature)  # f -> ...
+    result = min_type_lhs(system.rules[1], splits_of(system.signature))  # f -> ...
     assert result.context == EMPTY_CONTEXT
     assert print_type(result.lhs_type) == "B(leaf)"
     assert result.recursive_patterns == ()
@@ -311,14 +342,14 @@ def test_min_type_zero_argument_rule():
 
 def test_min_type_fresh_variables_for_extra_quantifiers():
     system = load(APP_PATH)
-    result = min_type_lhs(system.rules[0], system.signature)  # app[a,b] -> ...
+    result = min_type_lhs(system.rules[0], splits_of(system.signature))  # app[a,b] -> ...
     assert print_type(result.lhs_type) == "(B(a) -> B(b)) -> B(a) -> B(b)"
 
 
 def test_min_type_rejects_forced_pattern_mismatch():
     system = load(NONMINIMAL_PATH)
     with pytest.raises(TypeCheckError) as err:
-        min_type_lhs(system.rules[0], system.signature)
+        min_type_lhs(system.rules[0], splits_of(system.signature))
     assert err.value.code == "E-MIN-PATTERN-MISMATCH"
 
 
@@ -333,7 +364,7 @@ def test_min_type_rejects_repeated_variable_across_positions():
         "rule f[a,a] x -> x;\n"
     )
     with pytest.raises(TypeCheckError) as err:
-        min_type_lhs(rule, sig)
+        min_type_lhs(rule, splits_of(sig))
     assert err.value.code == "E-MIN-FRESH-VAR"
 
 
@@ -343,7 +374,7 @@ def test_min_type_rejects_nonvariable_in_fresh_position():
         "rule f[a,leaf] x -> x;\n"
     )
     with pytest.raises(TypeCheckError) as err:
-        min_type_lhs(rule, sig)
+        min_type_lhs(rule, splits_of(sig))
     assert err.value.code == "E-MIN-FRESH-VAR"
 
 
@@ -353,7 +384,7 @@ def test_min_type_rejects_wrong_pattern_arity():
         "rule f x -> Leaf;\n"
     )
     with pytest.raises(TypeCheckError) as err:
-        min_type_lhs(rule, sig)
+        min_type_lhs(rule, splits_of(sig))
     assert err.value.code == "E-MIN-ARITY"
 
 
@@ -363,7 +394,7 @@ def test_min_type_rejects_wrong_constructor_arity():
         "rule f[a] -> Leaf;\n"
     )
     with pytest.raises(TypeCheckError) as err:
-        min_type_lhs(rule, sig)
+        min_type_lhs(rule, splits_of(sig))
     assert err.value.code == "E-MIN-ARITY"
 
 
@@ -374,7 +405,7 @@ def test_min_type_rejects_nonlinear_constructor_variables():
         "rule f[node(a,a)] (Node[a,a] x y) -> Leaf;\n"
     )
     with pytest.raises(TypeCheckError) as err:
-        min_type_lhs(rule, sig)
+        min_type_lhs(rule, splits_of(sig))
     assert err.value.code == "E-MIN-PATTERN-MISMATCH"
 
 
@@ -384,7 +415,7 @@ def test_min_type_rejects_wildcard_pattern_argument():
         "rule f[node(_,b)] (Node x y) -> Leaf;\n"
     )
     with pytest.raises(TypeCheckError) as err:
-        min_type_lhs(rule, sig)
+        min_type_lhs(rule, splits_of(sig))
     assert err.value.code == "E-MIN-PATTERN-MISMATCH"
 
 
@@ -394,8 +425,19 @@ def test_min_type_rejects_annotation_disagreement():
         "rule f[node(a,b)] (Node[b,a] x y) -> Leaf;\n"
     )
     with pytest.raises(TypeCheckError) as err:
-        min_type_lhs(rule, sig)
+        min_type_lhs(rule, splits_of(sig))
     assert err.value.code == "E-MIN-ANNOT-MISMATCH"
+
+
+def test_min_type_rejects_undeclared_head_at_the_rule():
+    rule, sig = rule_of(
+        "symbol f : forall a. B(a) -> B(leaf) recursive 1;\n"
+        "rule g[a] x -> x;\n"
+    )
+    with pytest.raises(TypeCheckError) as err:
+        min_type_lhs(rule, splits_of(sig))
+    assert err.value.code == "E-UNDECLARED-SYMBOL"
+    assert err.value.loc == rule.loc == Loc(2, 1)
 
 
 def test_min_type_accepts_unannotated_constructors():
@@ -403,7 +445,7 @@ def test_min_type_accepts_unannotated_constructors():
         "symbol f : forall a. B(a) -> B(leaf) recursive 1;\n"
         "rule f[node(a,b)] (Node x y) -> Leaf;\n"
     )
-    result = min_type_lhs(rule, sig)
+    result = min_type_lhs(rule, splits_of(sig))
     assert str(result.context) == "x : B(a), y : B(b)"
 
 
@@ -415,7 +457,7 @@ def test_validate_rule_rejects_free_term_variable():
         "symbol f : forall a. B(a) -> B(leaf) recursive 1;\n"
         "rule f[a] x -> y;\n"
     )
-    diags = validate_rule(rule, sig, 0)
+    diags = validate_rule(rule, sig, splits_of(sig), 0)
     assert isinstance(diags, list)
     assert [d.code for d in diags] == ["E-FREE-VAR"]
 
@@ -426,7 +468,7 @@ def test_validate_rule_rejects_free_pattern_variable():
         "symbol g : forall a. B(a) -> B(leaf) recursive 1;\n"
         "rule f[a] x -> g[c] x;\n"
     )
-    diags = validate_rule(rule, sig, 0)
+    diags = validate_rule(rule, sig, splits_of(sig), 0)
     assert isinstance(diags, list)
     assert [d.code for d in diags] == ["E-PATTERN-VAR"]
 
@@ -437,7 +479,7 @@ def test_validate_rule_rejects_partial_pattern_application():
         "symbol two : forall a b. B(a) -> B(b) -> B(leaf) recursive 2;\n"
         "rule f[a] x -> two[a] x x;\n"
     )
-    diags = validate_rule(rule, sig, 0)
+    diags = validate_rule(rule, sig, splits_of(sig), 0)
     assert isinstance(diags, list)
     assert [d.code for d in diags] == ["E-PARTIAL-PATTERN-APP"]
 
@@ -447,7 +489,7 @@ def test_validate_rule_rejects_ill_typed_rhs():
         "symbol f : forall a. B(a) -> B(bot) recursive 1;\n"
         "rule f[a] x -> Leaf;\n"
     )
-    diags = validate_rule(rule, sig, 0)
+    diags = validate_rule(rule, sig, splits_of(sig), 0)
     assert isinstance(diags, list)
     assert [d.code for d in diags] == ["E-RHS-TYPE"]
 
@@ -458,7 +500,7 @@ def test_validate_rule_accepts_rhs_subtype():
         "symbol f : forall a. B(a) -> B(_) recursive 1;\n"
         "rule f[a] x -> Leaf;\n"
     )
-    validated = validate_rule(rule, sig, 0)
+    validated = validate_rule(rule, sig, splits_of(sig), 0)
     assert not isinstance(validated, list)
 
 
@@ -470,6 +512,21 @@ def test_all_fixture_rules_valid():
         validated = validate_system(load(path))
         assert not isinstance(validated, list)
         assert len(validated.rules) == len(load(path).rules)
+
+
+@pytest.mark.parametrize("text", [ring_text(50), clique_text(6)], ids=["ring-50", "clique-6"])
+def test_validate_system_splits_each_symbol_once(monkeypatch, text):
+    system = parse_system(text)
+    split_names = []
+    real = typecheck.decompose_symbol
+
+    def counting(*args):
+        split_names.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(typecheck, "decompose_symbol", counting)
+    assert not isinstance(validate_system(system), list)
+    assert len(split_names) == len(system.signature.entries)
 
 
 def test_validate_system_accumulates_diagnostics():
