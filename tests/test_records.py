@@ -97,8 +97,8 @@ def test_field_less_classes_share_one_instance():
 def test_import_does_not_load_dataclasses():
     src = Path(treeterm.__file__).resolve().parent.parent
     probe = "import sys, treeterm, treeterm.cli; print('dataclasses' in sys.modules)"
-    result = subprocess.run([sys.executable, "-S", "-B", "-c", probe], capture_output=True, text=True,
-                            check=True, env={"PYTHONPATH": str(src)})
+    result = subprocess.run([sys.executable, "-S", "-B", "-c", probe], capture_output=True,
+                            text=True, check=True, env={"PYTHONPATH": str(src)})
     assert result.stdout.strip() == "False"
 
 
