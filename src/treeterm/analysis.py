@@ -12,7 +12,7 @@ import math
 import string
 from collections.abc import Iterator, Sequence
 
-from .terms import Pattern, PNode, PVar, PWild, Record, call_sites, pattern_subst
+from .terms import Pattern, PNode, PVar, PWild, Record, pattern_subst
 from .typecheck import ValidatedSystem
 
 _set = object.__setattr__
@@ -57,7 +57,7 @@ def extract_dps(vsys: ValidatedSystem) -> tuple[DependencyPair, ...]:
     pairs: list[DependencyPair] = []
     seen: set[DependencyPair] = set()
     for vr in vsys.rules:
-        for ref, args in call_sites(vr.rule.rhs):
+        for ref, args in vr.call_sites:
             lhs, rhs = _canonicalize(vr.recursive_patterns, args)
             dp = DependencyPair(vr.rule.head, lhs, ref.name, rhs, rule_index=vr.index)
             if dp not in seen:
@@ -107,18 +107,21 @@ class DependencyGraph(Record, derived=("adjacency",)):
 
 
 def build_graph(dps: tuple[DependencyPair, ...]) -> DependencyGraph:
-    """Draw an edge when a pair's callee can be the next pair's caller:
-    same symbol, same arity, and componentwise compatible patterns.
+    """Draw an edge when a pair's callee can be the next pair's caller: the
+    same symbol, and compatible patterns at each of the next pair's
+    positions.
 
-    Callers are bucketed by (symbol, arity), so each pair is only tested
-    against the pairs its callee can start.
+    A call carries all its callee's pattern arguments, while the callee's own
+    pairs keep only its recursive ones, so the call's other arguments do not
+    constrain the next pair.  Callers are bucketed by symbol, so each pair is
+    only tested against the pairs its callee can start.
     """
-    callers: dict[tuple[str, int], list[int]] = {}
+    callers: dict[str, list[int]] = {}
     for j, b in enumerate(dps):
-        callers.setdefault((b.lhs_symbol, len(b.lhs_args)), []).append(j)
+        callers.setdefault(b.lhs_symbol, []).append(j)
     edges = set()
     for i, a in enumerate(dps):
-        for j in callers.get((a.rhs_symbol, len(a.rhs_args)), ()):
+        for j in callers.get(a.rhs_symbol, ()):
             if all(pattern_unifiable(pa, pb) for pa, pb in zip(a.rhs_args, dps[j].lhs_args)):
                 edges.add((i, j))
     return DependencyGraph(dps, frozenset(edges))
@@ -231,9 +234,9 @@ class SccCheck(Record, failing_node=None, cycle=None, search_space=1):
     `strict` and `weak` list the nodes that decrease strictly and weakly,
     up to `failing_node`, the first that does not decrease.  Otherwise
     `cycle` is a cycle of weak nodes, if there is one.  `search_space` counts
-    the candidate assignments: all of them from `find_indices`, 1 from
-    `check_scc` unless it is told otherwise, and 0, with no indices, when a
-    symbol in the component has no recursive argument.
+    the candidate assignments of the index search, 1 unless given, and is
+    0, with no indices, when a symbol in the component has no recursive
+    argument.
     """
 
     __slots__ = ("nodes", "indices", "strict", "weak", "failing_node", "cycle", "search_space")

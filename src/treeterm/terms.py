@@ -296,50 +296,38 @@ class PatLam(Record, ignore=("loc",), loc=None):
 AnnotatedTerm = Union[TermVar, SymbolRef, LeafCon, NodeCon, App, PatApp, Lam, PatLam]
 
 
-def term_free_term_vars(t: AnnotatedTerm) -> frozenset[str]:
-    if isinstance(t, TermVar):
-        return frozenset((t.name,))
-    if isinstance(t, App):
-        return term_free_term_vars(t.fun) | term_free_term_vars(t.arg)
-    if isinstance(t, PatApp):
-        return term_free_term_vars(t.fun)
-    if isinstance(t, Lam):
-        return term_free_term_vars(t.body) - {t.binder}
-    if isinstance(t, PatLam):
-        return term_free_term_vars(t.body)
-    return frozenset()
+CallSite = tuple[SymbolRef, tuple[Pattern, ...]]
 
 
-def term_free_pattern_vars(t: AnnotatedTerm) -> frozenset[str]:
-    if isinstance(t, App):
-        return term_free_pattern_vars(t.fun) | term_free_pattern_vars(t.arg)
-    if isinstance(t, PatApp):
-        return term_free_pattern_vars(t.fun) | pattern_vars(t.pattern)
-    if isinstance(t, Lam):
-        return term_free_pattern_vars(t.body) | type_free_vars(t.annot)
-    if isinstance(t, PatLam):
-        return term_free_pattern_vars(t.body) - {t.binder}
-    return frozenset()
+def scan_term(t: AnnotatedTerm) -> tuple[frozenset[str], frozenset[str], tuple[CallSite, ...]]:
+    """The free term variables, the free pattern variables and the call
+    sites of t, in one walk.  The call sites are every symbol occurrence,
+    left to right, with the patterns it is applied to directly."""
+    term_vars: set[str] = set()
+    pat_vars: set[str] = set()
+    sites: list[CallSite] = []
 
-
-def call_sites(t: AnnotatedTerm) -> list[tuple[SymbolRef, tuple[Pattern, ...]]]:
-    """Every symbol occurrence in t, left to right, with the patterns it is
-    applied to directly."""
-    out: list[tuple[SymbolRef, tuple[Pattern, ...]]] = []
-
-    def visit(u: AnnotatedTerm, applied: tuple[Pattern, ...]) -> None:
-        if isinstance(u, SymbolRef):
-            out.append((u, applied))
+    def visit(u: AnnotatedTerm, applied: tuple[Pattern, ...],
+              bound: frozenset[str], pat_bound: frozenset[str]) -> None:
+        if isinstance(u, TermVar):
+            if u.name not in bound:
+                term_vars.add(u.name)
+        elif isinstance(u, SymbolRef):
+            sites.append((u, applied))
         elif isinstance(u, PatApp):
-            visit(u.fun, (u.pattern,) + applied)
+            pat_vars.update(pattern_vars(u.pattern) - pat_bound)
+            visit(u.fun, (u.pattern,) + applied, bound, pat_bound)
         elif isinstance(u, App):
-            visit(u.fun, ())
-            visit(u.arg, ())
-        elif isinstance(u, (Lam, PatLam)):
-            visit(u.body, ())
+            visit(u.fun, (), bound, pat_bound)
+            visit(u.arg, (), bound, pat_bound)
+        elif isinstance(u, Lam):
+            pat_vars.update(type_free_vars(u.annot) - pat_bound)
+            visit(u.body, (), bound | {u.binder}, pat_bound)
+        elif isinstance(u, PatLam):
+            visit(u.body, (), bound, pat_bound | {u.binder})
 
-    visit(t, ())
-    return out
+    visit(t, (), frozenset(), frozenset())
+    return frozenset(term_vars), frozenset(pat_vars), tuple(sites)
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +502,6 @@ class Signature(Record):
 
     def get(self, name: str) -> SymbolInfo | None:
         return self.entries.get(name)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.entries
 
     def __iter__(self) -> Iterator[tuple[str, SymbolInfo]]:
         return iter(self.entries.items())

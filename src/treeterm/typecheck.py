@@ -38,12 +38,10 @@ from .terms import (
     SymbolInfo,
     SymbolRef,
     TermVar,
-    call_sites,
     fresh_name,
     pattern_vars,
     quantifier_prefix,
-    term_free_pattern_vars,
-    term_free_term_vars,
+    scan_term,
     type_free_vars,
     type_subst,
 )
@@ -302,16 +300,6 @@ def synthesize(sig: Signature, ctx: Context, t: AnnotatedTerm) -> RefinementType
 # ---------------------------------------------------------------------------
 # Minimal typing of left-hand sides
 
-class ValidatedRule(Record, index=0):
-    __slots__ = ("rule", "context", "lhs_type", "index")
-
-    @property
-    def recursive_patterns(self) -> tuple[Pattern, ...]:
-        """The minimal patterns of the recursive arguments: once the rule
-        validates, these are its written pattern arguments."""
-        return self.rule.pattern_args[: len(self.rule.recursive_args)]
-
-
 def _template(c: ConstructorTerm) -> Pattern:
     """The shape of a constructor term, with its term variables as pattern variables."""
     if isinstance(c, ConVar):
@@ -321,8 +309,9 @@ def _template(c: ConstructorTerm) -> Pattern:
     return PLeaf()
 
 
-def min_type_lhs(rule: RewriteRule, splits: dict[str, Split], index: int = 0) -> ValidatedRule:
-    """Match a rule's left-hand side against its forced minimal typing.
+def min_type_lhs(rule: RewriteRule, splits: dict[str, Split]) -> tuple[Context, RefinementType]:
+    """Match a rule's left-hand side against its forced minimal typing;
+    returns the context of its term variables and its type.
 
     The recursive arguments determine their patterns up to the choice of one
     pattern variable per term variable; the rule's written pattern arguments
@@ -408,11 +397,24 @@ def min_type_lhs(rule: RewriteRule, splits: dict[str, Split], index: int = 0) ->
 
     ctx = Context(tuple((var, Base(PVar(p))) for var, p in mapping.items()))
     lhs_type = type_subst(rest, {quants[i]: rule.pattern_args[i] for i in range(n)})
-    return ValidatedRule(rule, ctx, lhs_type, index)
+    return ctx, lhs_type
 
 
 # ---------------------------------------------------------------------------
 # Rule and system validation
+
+class ValidatedRule(Record):
+    """A rule that type-checks, with the context and type of its left-hand
+    side and the call sites of its right-hand side, as `scan_term` finds them."""
+
+    __slots__ = ("rule", "context", "lhs_type", "call_sites", "index")
+
+    @property
+    def recursive_patterns(self) -> tuple[Pattern, ...]:
+        """The minimal patterns of the recursive arguments: once the rule
+        validates, these are its written pattern arguments."""
+        return self.rule.pattern_args[: len(self.rule.recursive_args)]
+
 
 class ValidatedSystem(Record):
     __slots__ = ("system", "rules")
@@ -427,26 +429,27 @@ def validate_rule(
         return Diagnostic(code, message, loc=loc, rule_index=index, symbol=rule.head)
 
     try:
-        vr = min_type_lhs(rule, splits, index)
+        ctx, lhs_type = min_type_lhs(rule, splits)
     except TypeCheckError as e:
         return [diag(e.code, e.message, e.loc)]
 
+    term_vars, pat_vars, sites = scan_term(rule.rhs)
     diags: list[Diagnostic] = []
-    lhs_vars = {name for name, _ in vr.context.bindings}
-    for name in sorted(term_free_term_vars(rule.rhs) - lhs_vars):
+    lhs_vars = {name for name, _ in ctx.bindings}
+    for name in sorted(term_vars - lhs_vars):
         diags.append(diag(
             "E-FREE-VAR",
             f"right-hand side variable {name!r} does not occur on the left-hand side",
         ))
     allowed_pattern_vars = frozenset().union(*(pattern_vars(p) for p in rule.pattern_args))
-    for name in sorted(term_free_pattern_vars(rule.rhs) - allowed_pattern_vars):
+    for name in sorted(pat_vars - allowed_pattern_vars):
         diags.append(diag(
             "E-PATTERN-VAR",
             f"right-hand side pattern variable {name!r} is not introduced by the "
             "left-hand side",
         ))
 
-    for ref, patterns in call_sites(rule.rhs):
+    for ref, patterns in sites:
         split = splits.get(ref.name)
         if split is not None and len(patterns) != len(split[0]):
             diags.append(diag(
@@ -460,16 +463,16 @@ def validate_rule(
         return diags
 
     try:
-        rhs_ty = synthesize(sig, vr.context, rule.rhs)
+        rhs_ty = synthesize(sig, ctx, rule.rhs)
     except TypeCheckError as e:
         return [diag(e.code, e.message, e.loc)]
-    if not type_sub(rhs_ty, vr.lhs_type):
+    if not type_sub(rhs_ty, lhs_type):
         return [diag(
             "E-RHS-TYPE",
             f"right-hand side has type {print_type(rhs_ty)}, which is not a "
-            f"subtype of the left-hand side type {print_type(vr.lhs_type)}",
+            f"subtype of the left-hand side type {print_type(lhs_type)}",
         )]
-    return vr
+    return ValidatedRule(rule, ctx, lhs_type, sites, index)
 
 
 def validate_system(sys: RewriteSystem) -> ValidatedSystem | list[Diagnostic]:

@@ -768,13 +768,13 @@ def reference_sccs(n: int, edges: frozenset[tuple[int, int]]) -> list[tuple[int,
 
 
 def reference_edges(dps: tuple[DependencyPair, ...]) -> frozenset[tuple[int, int]]:
-    """The dependency-graph edges by testing all pairs of pairs."""
+    """The dependency-graph edges by testing all pairs of pairs; a call's
+    patterns past the next pair's recursive ones are not compared."""
     return frozenset(
         (i, j)
         for i, a in enumerate(dps)
         for j, b in enumerate(dps)
         if a.rhs_symbol == b.lhs_symbol
-        and len(a.rhs_args) == len(b.lhs_args)
         and all(pattern_unifiable(pa, pb) for pa, pb in zip(a.rhs_args, b.lhs_args))
     )
 

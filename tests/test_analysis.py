@@ -19,7 +19,7 @@ from treeterm.analysis import (
     pattern_unifiable,
     sccs,
 )
-from treeterm.report import dp_label, failure_message, to_dot
+from treeterm.report import dp_label, failure_message, to_dot, verdict_lines
 from treeterm.syntax import parse_pattern, parse_system, print_pattern
 from treeterm.terms import pattern_subst
 from treeterm.typecheck import validate_system
@@ -180,16 +180,21 @@ EDGE_MIX = (
 )
 
 
-def test_edge_requires_matching_arity():
+def test_non_recursive_call_patterns_do_not_block_edges():
     vs = system(EDGE_MIX)
     dps = extract_dps(vs)
     assert [dp_label(d) for d in dps] == [
         "f♯(a) -> g♯(a,leaf)",
         "g♯(node(a,b)) -> f♯(a)",
     ]
-    # the g call carries two patterns but g's own pairs expose one
-    # recursive position, so no edge targets the g node
-    assert sorted(build_graph(dps).edges) == [(1, 0)]
+    # the g call carries both of g's patterns, while g's own pair keeps only
+    # its one recursive position: the second pattern does not constrain it
+    assert sorted(build_graph(dps).edges) == [(0, 1), (1, 0)]
+    verdict = check_criterion(vs)
+    assert verdict.terminating
+    assert verdict_lines("mix", vs.system, verdict)[4:] == [
+        "  SCC {0, 1}: ι[f]=1, ι[g]=1; strict: [1]; weak: [0]",
+    ]
 
 
 def test_edge_requires_matching_symbol():

@@ -32,6 +32,18 @@ LOOP_TEXT = (
 )
 
 
+# Each rule calls its own symbol with a pattern argument outside the
+# recursive positions, and the term loops under it: no certificate may exist.
+NON_RECURSIVE_LOOPS = {
+    "no-recursive-argument": (
+        "symbol f : forall a. B(a) -> B(_) recursive 0;\n"
+        "rule f[a] -> f[a];\n", "f"),
+    "under-a-lambda": (
+        "symbol f : forall a b. B(a) -> B(b) -> B(a) recursive 1;\n"
+        "rule f[a,b] x -> \\y:B(b). f[a,b] x y;\n", "f Leaf"),
+}
+
+
 @pytest.fixture
 def loop_file(tmp_path):
     path = tmp_path / "loop.trs"
@@ -77,6 +89,20 @@ def test_check_unknown(capsys, loop_file):
     assert any("without a strict decrease" in l for l in lines)
     assert "  residual cycle: 0" in lines
     assert "    node 0: f♯(a) -> f♯(a)" in lines
+
+
+@pytest.mark.parametrize("text,term", NON_RECURSIVE_LOOPS.values(), ids=NON_RECURSIVE_LOOPS)
+def test_check_does_not_certify_a_loop_through_non_recursive_patterns(capsys, tmp_path, text, term):
+    path = tmp_path / "loop.trs"
+    path.write_text(text)
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 1
+    assert out.splitlines()[:3] == [
+        f"UNKNOWN: {path}", "  rules: 1, symbols: 1", "  dependency pairs: 1, edges: 1",
+    ]
+    code, out, _ = run(capsys, "reduce", str(path), "--term", term)
+    assert code == 1
+    assert out.startswith("FUEL EXHAUSTED")
 
 
 def test_check_invalid(capsys):

@@ -50,8 +50,7 @@ from treeterm.terms import (
     pattern_subst,
     pattern_vars,
     quantifier_prefix,
-    term_free_pattern_vars,
-    term_free_term_vars,
+    scan_term,
     type_free_vars,
     type_subst,
 )
@@ -185,8 +184,27 @@ def test_print_term_parenthesizes_arguments():
 
 def test_free_variable_queries():
     t = parse_term(r"\x:B(a). g[b] x y", frozenset({"g"}))
-    assert term_free_term_vars(t) == frozenset({"y"})
-    assert term_free_pattern_vars(t) == frozenset({"a", "b"})
+    term_vars, pattern_vars, _ = scan_term(t)
+    assert term_vars == frozenset({"y"})
+    assert pattern_vars == frozenset({"a", "b"})
+
+
+def test_scan_term_respects_binders():
+    # a pattern abstraction binds its variable in patterns and annotations below it
+    t = parse_term(r"/\b. \x:B(node(b,d)). g[b,c] x", frozenset({"g"}))
+    assert scan_term(t)[:2] == (frozenset(), frozenset({"c", "d"}))
+    # the inner lambda binds only its own occurrence of x
+    t = parse_term(r"g[a] x (\x:B(a). x y)", frozenset({"g"}))
+    assert scan_term(t)[:2] == (frozenset({"x", "y"}), frozenset({"a"}))
+
+
+def test_scan_term_lists_call_sites_left_to_right():
+    t = parse_term("f[a,b] (g[c] x) (f Leaf)", frozenset({"f", "g"}))
+    sites = scan_term(t)[2]
+    assert [(ref.name, tuple(print_pattern(p) for p in pats)) for ref, pats in sites] == [
+        ("f", ("a", "b")), ("g", ("c",)), ("f", ()),
+    ]
+    assert [str(ref.loc) for ref, _ in sites] == ["1:1", "1:9", "1:18"]
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import pytest
 
-from treeterm import typecheck
+from treeterm import analysis, terms, typecheck
 from treeterm.syntax import (
     parse_pattern,
     parse_system,
@@ -312,38 +312,40 @@ def test_check_subsumes():
 
 def test_min_type_fgih_node_rule():
     system = load(FGIH_PATH)
-    result = min_type_lhs(system.rules[3], splits_of(system.signature))  # i[node(a,b)] (Node[a,b] x y)
-    assert str(result.context) == "x : B(a), y : B(b)"
-    assert print_type(result.lhs_type) == "B(node(a,b))"
-    assert [print_pattern(p) for p in result.recursive_patterns] == ["node(a,b)"]
+    context, lhs_type = min_type_lhs(system.rules[3], splits_of(system.signature))  # i[node(a,b)] (Node[a,b] x y)
+    assert str(context) == "x : B(a), y : B(b)"
+    assert print_type(lhs_type) == "B(node(a,b))"
+    validated = validate_system(system).rules[3]
+    assert (validated.context, validated.lhs_type) == (context, lhs_type)
+    assert [print_pattern(p) for p in validated.recursive_patterns] == ["node(a,b)"]
 
 
 def test_min_type_fgih_leaf_rule_gives_wildcard_type():
     system = load(FGIH_PATH)
-    result = min_type_lhs(system.rules[2], splits_of(system.signature))  # g[leaf] Leaf
-    assert str(result.context) == ""
-    assert print_type(result.lhs_type) == "B(_)"
-    assert [print_pattern(p) for p in result.recursive_patterns] == ["leaf"]
+    context, lhs_type = min_type_lhs(system.rules[2], splits_of(system.signature))  # g[leaf] Leaf
+    assert str(context) == ""
+    assert print_type(lhs_type) == "B(_)"
+    assert [print_pattern(p) for p in validate_system(system).rules[2].recursive_patterns] == ["leaf"]
 
 
 def test_min_type_app_leaf_rule_gives_leaf_type():
     system = load(APP_PATH)
-    result = min_type_lhs(system.rules[3], splits_of(system.signature))  # g[leaf] Leaf (app system)
-    assert print_type(result.lhs_type) == "B(leaf)"
+    _, lhs_type = min_type_lhs(system.rules[3], splits_of(system.signature))  # g[leaf] Leaf (app system)
+    assert print_type(lhs_type) == "B(leaf)"
 
 
 def test_min_type_zero_argument_rule():
     system = load(APP_PATH)
-    result = min_type_lhs(system.rules[1], splits_of(system.signature))  # f -> ...
-    assert result.context == EMPTY_CONTEXT
-    assert print_type(result.lhs_type) == "B(leaf)"
-    assert result.recursive_patterns == ()
+    context, lhs_type = min_type_lhs(system.rules[1], splits_of(system.signature))  # f -> ...
+    assert context == EMPTY_CONTEXT
+    assert print_type(lhs_type) == "B(leaf)"
+    assert validate_system(system).rules[1].recursive_patterns == ()
 
 
 def test_min_type_fresh_variables_for_extra_quantifiers():
     system = load(APP_PATH)
-    result = min_type_lhs(system.rules[0], splits_of(system.signature))  # app[a,b] -> ...
-    assert print_type(result.lhs_type) == "(B(a) -> B(b)) -> B(a) -> B(b)"
+    _, lhs_type = min_type_lhs(system.rules[0], splits_of(system.signature))  # app[a,b] -> ...
+    assert print_type(lhs_type) == "(B(a) -> B(b)) -> B(a) -> B(b)"
 
 
 def test_min_type_rejects_forced_pattern_mismatch():
@@ -445,8 +447,8 @@ def test_min_type_accepts_unannotated_constructors():
         "symbol f : forall a. B(a) -> B(leaf) recursive 1;\n"
         "rule f[node(a,b)] (Node x y) -> Leaf;\n"
     )
-    result = min_type_lhs(rule, splits_of(sig))
-    assert str(result.context) == "x : B(a), y : B(b)"
+    context, _ = min_type_lhs(rule, splits_of(sig))
+    assert str(context) == "x : B(a), y : B(b)"
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +529,28 @@ def test_validate_system_splits_each_symbol_once(monkeypatch, text):
     monkeypatch.setattr(typecheck, "decompose_symbol", counting)
     assert not isinstance(validate_system(system), list)
     assert len(split_names) == len(system.signature.entries)
+
+
+@pytest.mark.parametrize("text", [ring_text(50), clique_text(6)], ids=["ring-50", "clique-6"])
+def test_each_right_hand_side_is_scanned_once(monkeypatch, text):
+    system = parse_system(text)
+    scanned = []
+    real = typecheck.scan_term
+
+    def counting(t):
+        scanned.append(t)
+        return real(t)
+
+    monkeypatch.setattr(typecheck, "scan_term", counting)
+    validated = validate_system(system)
+    assert not isinstance(validated, list)
+    assert scanned == [rule.rhs for rule in system.rules]
+    # the dependency pairs read the call sites kept by validation
+    scanned.clear()
+    monkeypatch.setattr(terms, "scan_term", counting)
+    monkeypatch.setattr(analysis, "scan_term", counting, raising=False)
+    assert analysis.check_criterion(validated).graph.nodes
+    assert scanned == []
 
 
 def test_validate_system_accumulates_diagnostics():

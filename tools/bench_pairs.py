@@ -17,6 +17,10 @@ change/parent ratio of the medians and the number of pairs the change won,
 plus every run's metrics, the seeds, both commit ids, a hash of each `src/`
 and a note on the host.  A run that fails to produce its result line stops
 the script with exit 2.  Progress goes to stderr.
+
+The script refuses to start, with exit 2, while either checkout has a
+`__pycache__` directory under `src/`: cached bytecode skips compilation, so
+`setup_s` would read lower on the side that has it.
 """
 from __future__ import annotations
 
@@ -125,6 +129,11 @@ def main(argv: list[str] | None = None) -> int:
     parent = args.parent.resolve()
     if not (parent / "perfbench" / "run.py").is_file():
         parser.error(f"{parent} has no perfbench/run.py")
+    caches = [cache for checkout in (parent, ROOT)
+              for cache in sorted((checkout / "src").rglob("__pycache__"))]
+    if caches:
+        parser.error("cached bytecode lowers setup_s on its side; remove "
+                     + ", ".join(map(str, caches)))
 
     seconds = benchmark["run_seconds"]
     seeds = list(range(1, PAIRS + 1))
