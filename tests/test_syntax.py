@@ -184,9 +184,9 @@ def test_print_term_parenthesizes_arguments():
 
 def test_free_variable_queries():
     t = parse_term(r"\x:B(a). g[b] x y", frozenset({"g"}))
-    term_vars, pattern_vars, _ = scan_term(t)
+    term_vars, pat_vars, _ = scan_term(t)
     assert term_vars == frozenset({"y"})
-    assert pattern_vars == frozenset({"a", "b"})
+    assert pat_vars == frozenset({"a", "b"})
 
 
 def test_scan_term_respects_binders():
