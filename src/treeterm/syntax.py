@@ -1,11 +1,15 @@
 """The textual .trs format of pattern-refined tree rewrite systems: the
-tokenizer, the parser and the printers.
+tokenizer, which is one regular-expression scan; the recursive-descent
+parser, which reads each rule's left-hand side straight into its head,
+pattern arguments and constructor terms; and the printers.
 
 The abstract syntax they read and write lives in `terms`.
 """
 from __future__ import annotations
 
 import re
+from itertools import pairwise
+from typing import Callable, TypeVar
 
 from .terms import (
     AnnotatedTerm,
@@ -46,6 +50,8 @@ from .terms import (
     TermVar,
 )
 
+T = TypeVar("T")
+
 
 # ---------------------------------------------------------------------------
 # Lexer
@@ -60,19 +66,15 @@ class ParseError(Exception):
         super().__init__(f"{line}:{col}: {message}{suffix}")
 
 
-KEYWORDS = frozenset({
-    "symbol", "rule", "forall", "recursive", "B", "leaf", "node", "bot", "Leaf", "Node",
-})
+KEYWORDS = frozenset({"symbol", "rule", "forall", "recursive", "B", "leaf", "node", "bot",
+                      "Leaf", "Node"})
 
+# A newline, blanks or a comment, a token, or any other character (an error).
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<comment>\#[^\n]*)
-      | (?P<arrow>->)
-      | (?P<patlam>/\\)
-      | (?P<lam>\\)
-      | (?P<nat>[0-9]+)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<punct>[()\[\],;:.])
+    r"""(?P<newline>\n)
+      | [^\S\n]+ | \#[^\n]*
+      | (?P<token>->|/\\|\\|[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[()\[\],;:.])
+      | (?P<other>.)
     """,
     re.VERBOSE,
 )
@@ -84,30 +86,24 @@ class Token(Record):
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line = 1
-    line_start = 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
-        col = pos - line_start + 1
-        pos = m.end()
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
         group = m.lastgroup
-        value = m.group()
-        if group in ("ws", "comment"):
-            newlines = value.count("\n")
-            if newlines:
-                line += newlines
-                line_start = m.start() + value.rindex("\n") + 1
-            continue
-        if group == "nat":
-            kind = "nat"
-        elif group == "ident" and value != "_" and value not in KEYWORDS:
-            kind = "ident"
-        else:  # keywords, "_", punctuation, arrows and lambdas are their own kind
-            kind = value
-        tokens.append(Token(kind, value, line, col))
+        if group == "newline":
+            line += 1
+            line_start = m.end()
+        elif group is not None:
+            value = m.group()
+            col = m.start() - line_start + 1
+            if group == "other":
+                raise ParseError(f"unexpected character {value!r}", line, col)
+            if value.isdigit():
+                kind = "nat"
+            elif value.isidentifier() and value != "_" and value not in KEYWORDS:
+                kind = "ident"
+            else:  # keywords, "_", punctuation, arrows and lambdas are their own kind
+                kind = value
+            tokens.append(Token(kind, value, line, col))
     tokens.append(Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 
@@ -116,6 +112,11 @@ def tokenize(text: str) -> list[Token]:
 # Parser
 
 _ATOM_STARTERS = frozenset({"ident", "Leaf", "Node", "("})
+_TERM_EXPECTED = ("ident", "Leaf", "Node", "(")
+_LHS_ERROR = ("rule left-hand side must be a symbol applied to pattern arguments "
+              "and then constructor arguments")
+_ARGUMENT_ERROR = ("rule left-hand side arguments must be constructor terms "
+                   "(variables, Leaf, or Node with zero or two pattern annotations)")
 
 
 class _Parser:
@@ -167,6 +168,15 @@ class _Parser:
             self.expect(")")
             return PNode(left, right)
         raise self.fail("expected a pattern", ("ident", "leaf", "node", "bot", "_"))
+
+    def pattern_group(self) -> list[Pattern]:
+        self.expect("[")
+        pats = [self.pattern()]
+        while self.peek().kind == ",":
+            self.advance()
+            pats.append(self.pattern())
+        self.expect("]")
+        return pats
 
     # -- types
 
@@ -227,12 +237,9 @@ class _Parser:
             if tok.kind in _ATOM_STARTERS:
                 t = App(t, self.atom(), loc=Loc(tok.line, tok.col))
             elif tok.kind == "[":
-                self.advance()
-                t = PatApp(t, self.pattern(), loc=Loc(tok.line, tok.col))
-                while self.peek().kind == ",":
-                    self.advance()
-                    t = PatApp(t, self.pattern(), loc=Loc(tok.line, tok.col))
-                self.expect("]")
+                loc = Loc(tok.line, tok.col)
+                for p in self.pattern_group():
+                    t = PatApp(t, p, loc=loc)
             else:
                 return t
 
@@ -255,157 +262,23 @@ class _Parser:
             t = self.term()
             self.expect(")")
             return t
-        raise self.fail("expected a term", ("ident", "Leaf", "Node", "("))
+        raise self.fail("expected a term", _TERM_EXPECTED)
 
-    # -- declarations
+    # -- erased terms: plain lambdas and applications, no annotations
 
-    def symbol_decl(self) -> tuple[str, SymbolInfo]:
-        start = self.expect("symbol")
-        name_tok = self.expect("ident")
-        self.expect(":")
-        ty = self.type_()
-        self.expect("recursive")
-        count_tok = self.expect("nat")
-        self.expect(";")
-        info = SymbolInfo(
-            type=ty,
-            recursive_count=int(count_tok.text),
-            loc=Loc(start.line, start.col),
-        )
-        return name_tok.text, info
-
-    def rule_decl(self) -> RewriteRule:
-        start = self.expect("rule")
-        lhs = self.term()
-        self.expect("->")
-        rhs = self.term()
-        self.expect(";")
-        loc = Loc(start.line, start.col)
-        head, pats, args = self._split_lhs(lhs, loc)
-        return RewriteRule(head, pats, args, rhs, loc=loc)
-
-    def _split_lhs(
-        self, lhs: AnnotatedTerm, loc: Loc
-    ) -> tuple[str, tuple[Pattern, ...], tuple[ConstructorTerm, ...]]:
-        args: list[ConstructorTerm] = []
-        t = lhs
-        while isinstance(t, App):
-            args.append(self._to_constructor(t.arg, loc))
-            t = t.fun
-        args.reverse()
-        pats: list[Pattern] = []
-        while isinstance(t, PatApp):
-            pats.append(t.pattern)
-            t = t.fun
-        pats.reverse()
-        if isinstance(t, (TermVar, SymbolRef)):
-            return t.name, tuple(pats), tuple(args)
-        where = t.loc or loc
-        raise ParseError(
-            "rule left-hand side must be a symbol applied to pattern arguments "
-            "and then constructor arguments",
-            where.line,
-            where.col,
-        )
-
-    def _to_constructor(self, t: AnnotatedTerm, loc: Loc) -> ConstructorTerm:
-        if isinstance(t, TermVar):
-            return ConVar(t.name)
-        if isinstance(t, LeafCon):
-            return ConLeaf()
-        if isinstance(t, App) and isinstance(t.fun, App):
-            head = t.fun.fun
-            left = self._to_constructor(t.fun.arg, loc)
-            right = self._to_constructor(t.arg, loc)
-            if isinstance(head, NodeCon):
-                return ConNode(None, None, left, right)
-            if (
-                isinstance(head, PatApp)
-                and isinstance(head.fun, PatApp)
-                and isinstance(head.fun.fun, NodeCon)
-            ):
-                return ConNode(head.fun.pattern, head.pattern, left, right)
-        where = t.loc or loc
-        raise ParseError(
-            "rule left-hand side arguments must be constructor terms "
-            "(variables, Leaf, or Node with zero or two pattern annotations)",
-            where.line,
-            where.col,
-        )
-
-    def system(self) -> RewriteSystem:
-        symbols: dict[str, SymbolInfo] = {}
-        rules: list[RewriteRule] = []
-        while True:
-            tok = self.peek()
-            if tok.kind == "eof":
-                break
-            if tok.kind == "symbol":
-                name, info = self.symbol_decl()
-                if name in symbols:
-                    raise ParseError(f"symbol {name!r} declared twice", tok.line, tok.col)
-                symbols[name] = info
-            elif tok.kind == "rule":
-                rules.append(self.rule_decl())
-            else:
-                raise self.fail("expected a declaration", ("symbol", "rule"))
-        return RewriteSystem(Signature(symbols), tuple(rules))
-
-
-def _declared_symbols(tokens: list[Token]) -> frozenset[str]:
-    names = set()
-    for i, tok in enumerate(tokens):
-        if tok.kind == "symbol" and i + 1 < len(tokens) and tokens[i + 1].kind == "ident":
-            names.add(tokens[i + 1].text)
-    return frozenset(names)
-
-
-def parse_system(text: str) -> RewriteSystem:
-    """Parse a .trs source text into a rewrite system.
-
-    Identifier occurrences in terms resolve to symbol references when the
-    name is declared anywhere in the file, and to term variables otherwise.
-    Arity and typing problems are left to validation.
-    """
-    tokens = tokenize(text)
-    return _Parser(tokens, _declared_symbols(tokens)).system()
-
-
-def parse_pattern(text: str) -> Pattern:
-    parser = _Parser(tokenize(text), frozenset())
-    p = parser.pattern()
-    parser.expect("eof")
-    return p
-
-
-def parse_type(text: str) -> RefinementType:
-    parser = _Parser(tokenize(text), frozenset())
-    t = parser.type_()
-    parser.expect("eof")
-    return t
-
-
-def parse_term(text: str, symbols: frozenset[str] = frozenset()) -> AnnotatedTerm:
-    parser = _Parser(tokenize(text), symbols)
-    t = parser.term()
-    parser.expect("eof")
-    return t
-
-
-class _ErasedParser(_Parser):
-    def term(self) -> ErasedTerm:  # type: ignore[override]
+    def erased_term(self) -> ErasedTerm:
         tok = self.peek()
         if tok.kind == "\\":
             self.advance()
             binder = self.expect("ident").text
             self.expect(".")
-            return ELam(binder, self.term())
-        t = self.eatom()
+            return ELam(binder, self.erased_term())
+        t = self.erased_atom()
         while self.peek().kind in _ATOM_STARTERS:
-            t = EApp(t, self.eatom())
+            t = EApp(t, self.erased_atom())
         return t
 
-    def eatom(self) -> ErasedTerm:
+    def erased_atom(self) -> ErasedTerm:
         tok = self.peek()
         if tok.kind == "ident":
             self.advance()
@@ -420,18 +293,130 @@ class _ErasedParser(_Parser):
             return ENode()
         if tok.kind == "(":
             self.advance()
-            t = self.term()
+            t = self.erased_term()
             self.expect(")")
             return t
-        raise self.fail("expected a term", ("ident", "Leaf", "Node", "("))
+        raise self.fail("expected a term", _TERM_EXPECTED)
+
+    # -- rule left-hand sides
+
+    def spine(self, error: str, argument: bool) -> tuple[Token, list[Pattern], list[ConstructorTerm]]:
+        """Read a head token, its pattern groups and then its constructor
+        arguments.  Parentheses may wrap any prefix, as in terms; an
+        `argument` is one token or one parenthesized spine.  A lambda head or
+        a pattern group after an argument raises `error` at the head."""
+        opened = 0
+        while self.peek().kind == "(":
+            self.advance()
+            opened += 1
+        head = self.peek()
+        if head.kind in ("\\", "/\\"):
+            raise ParseError(error, head.line, head.col)
+        if head.kind not in _ATOM_STARTERS:
+            raise self.fail("expected a term", _TERM_EXPECTED)
+        self.advance()
+        pats: list[Pattern] = []
+        args: list[ConstructorTerm] = []
+        while opened or not argument:
+            kind = self.peek().kind
+            if kind == "[":
+                if args:
+                    raise ParseError(error, head.line, head.col)
+                pats += self.pattern_group()
+            elif kind in _ATOM_STARTERS:
+                args.append(self.constructor(*self.spine(_ARGUMENT_ERROR, True)))
+            elif kind == ")" and opened:
+                self.advance()
+                opened -= 1
+            else:
+                break
+        if opened:
+            self.expect(")")
+        return head, pats, args
+
+    def constructor(self, head: Token, pats: list[Pattern],
+                    args: list[ConstructorTerm]) -> ConstructorTerm:
+        if head.kind == "Node" and len(pats) in (0, 2) and len(args) == 2:
+            return ConNode(*(pats or (None, None)), *args)
+        if head.kind == "Leaf" and not (pats or args):
+            return ConLeaf()
+        if head.kind == "ident" and not (pats or args) and head.text not in self.symbols:
+            return ConVar(head.text)
+        raise ParseError(_ARGUMENT_ERROR, head.line, head.col)
+
+    # -- declarations
+
+    def symbol_decl(self) -> tuple[str, SymbolInfo]:
+        start = self.expect("symbol")
+        name_tok = self.expect("ident")
+        self.expect(":")
+        ty = self.type_()
+        self.expect("recursive")
+        count_tok = self.expect("nat")
+        self.expect(";")
+        return name_tok.text, SymbolInfo(ty, int(count_tok.text), loc=Loc(start.line, start.col))
+
+    def rule_decl(self) -> RewriteRule:
+        start = self.expect("rule")
+        head, pats, args = self.spine(_LHS_ERROR, False)
+        if head.kind != "ident":
+            raise ParseError(_LHS_ERROR, head.line, head.col)
+        self.expect("->")
+        rhs = self.term()
+        self.expect(";")
+        return RewriteRule(head.text, tuple(pats), tuple(args), rhs, loc=Loc(start.line, start.col))
+
+    def system(self) -> RewriteSystem:
+        symbols: dict[str, SymbolInfo] = {}
+        rules: list[RewriteRule] = []
+        while (tok := self.peek()).kind != "eof":
+            if tok.kind == "symbol":
+                name, info = self.symbol_decl()
+                if name in symbols:
+                    raise ParseError(f"symbol {name!r} declared twice", tok.line, tok.col)
+                symbols[name] = info
+            elif tok.kind == "rule":
+                rules.append(self.rule_decl())
+            else:
+                raise self.fail("expected a declaration", ("symbol", "rule"))
+        return RewriteSystem(Signature(symbols), tuple(rules))
+
+
+def parse_system(text: str) -> RewriteSystem:
+    """Parse a .trs source text into a rewrite system.
+
+    Identifier occurrences in terms resolve to symbol references when the
+    name is declared anywhere in the file, and to term variables otherwise.
+    Arity and typing problems are left to validation.
+    """
+    tokens = tokenize(text)
+    declared = frozenset(b.text for a, b in pairwise(tokens) if a.kind == "symbol" and b.kind == "ident")
+    return _Parser(tokens, declared).system()
+
+
+def _read_all(text: str, read: Callable[[_Parser], T], symbols: frozenset[str] = frozenset()) -> T:
+    """Parse all of `text` with the `_Parser` method `read`."""
+    parser = _Parser(tokenize(text), symbols)
+    result = read(parser)
+    parser.expect("eof")
+    return result
+
+
+def parse_pattern(text: str) -> Pattern:
+    return _read_all(text, _Parser.pattern)
+
+
+def parse_type(text: str) -> RefinementType:
+    return _read_all(text, _Parser.type_)
+
+
+def parse_term(text: str, symbols: frozenset[str] = frozenset()) -> AnnotatedTerm:
+    return _read_all(text, _Parser.term, symbols)
 
 
 def parse_erased_term(text: str, symbols: frozenset[str]) -> ErasedTerm:
     """Parse an erased term: plain lambdas and applications, no annotations."""
-    parser = _ErasedParser(tokenize(text), symbols)
-    t = parser.term()
-    parser.expect("eof")
-    return t
+    return _read_all(text, _Parser.erased_term, symbols)
 
 
 # ---------------------------------------------------------------------------
@@ -512,24 +497,18 @@ def print_constructor(l: ConstructorTerm) -> str:
     head = "Node"
     if l.ann_left is not None and l.ann_right is not None:
         head += f"[{print_pattern(l.ann_left)},{print_pattern(l.ann_right)}]"
-    parts = [head]
-    for child in (l.left, l.right):
-        text = print_constructor(child)
-        if isinstance(child, ConNode):
-            text = f"({text})"
-        parts.append(text)
-    return " ".join(parts)
+    return f"{head} {_print_argument(l.left)} {_print_argument(l.right)}"
+
+
+def _print_argument(l: ConstructorTerm) -> str:
+    return f"({print_constructor(l)})" if isinstance(l, ConNode) else print_constructor(l)
 
 
 def print_rule(r: RewriteRule) -> str:
     lhs = r.head
     if r.pattern_args:
         lhs += "[" + ",".join(print_pattern(p) for p in r.pattern_args) + "]"
-    for arg in r.recursive_args:
-        text = print_constructor(arg)
-        if isinstance(arg, ConNode):
-            text = f"({text})"
-        lhs += f" {text}"
+    lhs += "".join(" " + _print_argument(arg) for arg in r.recursive_args)
     return f"rule {lhs} -> {print_term(r.rhs)};"
 
 

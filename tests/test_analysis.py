@@ -23,7 +23,7 @@ from treeterm.report import dp_label, failure_message, to_dot, verdict_lines
 from treeterm.syntax import parse_pattern, parse_system, print_pattern
 from treeterm.terms import pattern_subst
 from treeterm.typecheck import validate_system
-from conftest import APP_PATH, FGIH_PATH, load_validated
+from conftest import APP_PATH, FGIH_PATH, SYSTEMS, load_validated
 from helpers import clique_text, reference_edges, ring_text, successors, unify_patterns, wide_text
 
 
@@ -172,16 +172,11 @@ def test_fgih_graph_edges(fgih_validated):
     ]
 
 
-EDGE_MIX = (
-    "symbol f : forall a. B(a) -> B(leaf) recursive 1;\n"
-    "symbol g : forall a b. B(a) -> B(b) -> B(leaf) recursive 1;\n"
-    "rule f[a] x -> g[a,leaf] x Leaf;\n"
-    "rule g[node(a,b),c] (Node x y) -> \\z:B(c). f[a] x;\n"
-)
+EDGE_MIX = SYSTEMS / "edge-mix.trs"
 
 
 def test_non_recursive_call_patterns_do_not_block_edges():
-    vs = system(EDGE_MIX)
+    vs = load_validated(EDGE_MIX)
     dps = extract_dps(vs)
     assert [dp_label(d) for d in dps] == [
         "f♯(a) -> g♯(a,leaf)",
@@ -210,7 +205,7 @@ def test_edge_requires_matching_symbol():
 @pytest.mark.parametrize("vs", [
     pytest.param(load_validated(APP_PATH), id="app"),
     pytest.param(load_validated(FGIH_PATH), id="fgih"),
-    pytest.param(system(EDGE_MIX), id="arity-mismatch"),
+    pytest.param(load_validated(EDGE_MIX), id="arity-mismatch"),
     pytest.param(system(clique_text(6)), id="clique-6"),
     pytest.param(system(wide_text(5, 3)), id="wide-5x3"),
     pytest.param(system(wide_text(4, 1)), id="wide-4x1"),

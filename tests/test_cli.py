@@ -25,6 +25,7 @@ APP = str(APP_PATH)
 FGIH = str(FGIH_PATH)
 NONMINIMAL = str(NONMINIMAL_PATH)
 INVALID_DIR = SYSTEMS / "invalid"
+PARSE_DIR = SYSTEMS / "parse"
 
 LOOP_TEXT = (
     "symbol f : forall a. B(a) -> B(leaf) recursive 1;\n"
@@ -32,16 +33,10 @@ LOOP_TEXT = (
 )
 
 
-# Each rule calls its own symbol with a pattern argument outside the
-# recursive positions, and the term loops under it: no certificate may exist.
-NON_RECURSIVE_LOOPS = {
-    "no-recursive-argument": (
-        "symbol f : forall a. B(a) -> B(_) recursive 0;\n"
-        "rule f[a] -> f[a];\n", "f"),
-    "under-a-lambda": (
-        "symbol f : forall a b. B(a) -> B(b) -> B(a) recursive 1;\n"
-        "rule f[a,b] x -> \\y:B(b). f[a,b] x y;\n", "f Leaf"),
-}
+# systems/loop-<name>.trs and a term that loops under it.  Each rule calls
+# its own symbol with a pattern argument outside the recursive positions: no
+# certificate may exist.
+NON_RECURSIVE_LOOPS = {"no-recursive-argument": "f", "under-a-lambda": "f Leaf"}
 
 
 @pytest.fixture
@@ -91,16 +86,15 @@ def test_check_unknown(capsys, loop_file):
     assert "    node 0: f♯(a) -> f♯(a)" in lines
 
 
-@pytest.mark.parametrize("text,term", NON_RECURSIVE_LOOPS.values(), ids=NON_RECURSIVE_LOOPS)
-def test_check_does_not_certify_a_loop_through_non_recursive_patterns(capsys, tmp_path, text, term):
-    path = tmp_path / "loop.trs"
-    path.write_text(text)
-    code, out, _ = run(capsys, "check", str(path))
+@pytest.mark.parametrize("name,term", NON_RECURSIVE_LOOPS.items(), ids=NON_RECURSIVE_LOOPS)
+def test_check_does_not_certify_a_loop_through_non_recursive_patterns(capsys, name, term):
+    path = str(SYSTEMS / f"loop-{name}.trs")
+    code, out, _ = run(capsys, "check", path)
     assert code == 1
     assert out.splitlines()[:3] == [
         f"UNKNOWN: {path}", "  rules: 1, symbols: 1", "  dependency pairs: 1, edges: 1",
     ]
-    code, out, _ = run(capsys, "reduce", str(path), "--term", term)
+    code, out, _ = run(capsys, "reduce", path, "--term", term)
     assert code == 1
     assert out.startswith("FUEL EXHAUSTED")
 
@@ -240,11 +234,32 @@ def test_byte_order_mark_is_skipped(capsys, tmp_path):
     assert out == plain.replace(APP, str(marked))
 
 
-def test_check_parse_error(capsys, tmp_path):
-    bad = tmp_path / "bad.trs"
-    bad.write_text("symbol f forall;;;\n")
-    code, out, _ = run(capsys, "check", str(bad))
-    assert code == 3
+# What `check` prints after the path for systems/parse/<name>.trs: one file
+# per parse error message.
+PARSE_ERRORS = {
+    "declared-twice": "4:1: symbol 'f' declared twice",
+    "expected-declaration": "5:1: expected a declaration (expected symbol, rule)",
+    "expected-pattern": "3:14: expected a pattern (expected ident, leaf, node, bot, _)",
+    "expected-term": "5:11: expected a term (expected ident, Leaf, Node, ()",
+    "expected-type": "3:22: expected a type (expected B, ()",
+    "lhs-argument": "6:12: rule left-hand side arguments must be constructor terms "
+                    "(variables, Leaf, or Node with zero or two pattern annotations)",
+    "lhs-head": "5:6: rule left-hand side must be a symbol applied to pattern arguments "
+                "and then constructor arguments",
+    "unexpected-character": "5:18: unexpected character '&'",
+    "unexpected-token": "3:10: unexpected 'forall' (expected :)",
+}
+
+
+def test_parse_error_systems_are_all_pinned():
+    assert sorted(p.stem for p in PARSE_DIR.glob("*.trs")) == sorted(PARSE_ERRORS)
+
+
+@pytest.mark.parametrize("name", sorted(PARSE_ERRORS))
+def test_check_parse_error(capsys, name):
+    path = str(PARSE_DIR / f"{name}.trs")
+    code, out, err = run(capsys, "check", path)
+    assert (code, out, err) == (3, f"PARSE ERROR: {path}: {PARSE_ERRORS[name]}\n", "")
 
 
 def test_check_empty_file(capsys, tmp_path):

@@ -24,12 +24,16 @@ from treeterm.syntax import (
     parse_type,
     print_erased,
     print_pattern,
+    print_rule,
     print_system,
     print_type,
 )
 from treeterm.terms import (
     Arrow,
     Base,
+    ConLeaf,
+    ConNode,
+    ConVar,
     EApp,
     ENode,
     ESym,
@@ -142,6 +146,52 @@ def rngs(draw):
     return random.Random(draw(st.integers(0, 2**32 - 1)))
 
 
+@st.composite
+def constructor_terms(draw, max_depth: int = 3):
+    kinds = ["var", "leaf", "node", "annotated"] if max_depth else ["var", "leaf"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "var":
+        return ConVar(draw(st.sampled_from(["x", "y", "z"])))
+    if kind == "leaf":
+        return ConLeaf()
+    annotations = (draw(patterns(2)), draw(patterns(2))) if kind == "annotated" else (None, None)
+    return ConNode(*annotations, draw(constructor_terms(max_depth - 1)),
+                   draw(constructor_terms(max_depth - 1)))
+
+
+def wrap_prefixes(draw, elements: list[str]) -> str:
+    """Join the elements of a spine, with redundant parentheses around
+    randomly chosen prefixes of it (the whole spine included)."""
+    ends = sorted(draw(st.lists(st.integers(1, len(elements)), max_size=3)))
+    text = "(" * len(ends) + elements[0]
+    for i, element in enumerate(elements[1:], 1):
+        text += ")" * ends.count(i) + element
+    return text + ")" * ends.count(len(elements))
+
+
+def pattern_groups(draw, pats) -> list[str]:
+    """The patterns split into `[p,...]` groups at random points."""
+    if not pats:
+        return []
+    bounds = [0, *(i for i in range(1, len(pats)) if draw(st.booleans())), len(pats)]
+    return ["[" + ",".join(map(print_pattern, pats[a:b])) + "]" for a, b in zip(bounds, bounds[1:])]
+
+
+def written_argument(draw, c) -> str:
+    """A constructor argument as an atom, with redundant parentheses."""
+    extra = draw(st.integers(0, 2))
+    if isinstance(c, ConVar):
+        text = c.name
+    elif isinstance(c, ConLeaf):
+        text = "Leaf"
+    else:
+        annotations = [] if c.ann_left is None else [c.ann_left, c.ann_right]
+        elements = ["Node", *pattern_groups(draw, annotations),
+                    " " + written_argument(draw, c.left), " " + written_argument(draw, c.right)]
+        text = "(" + wrap_prefixes(draw, elements) + ")"
+    return "(" * extra + text + ")" * extra
+
+
 # ---------------------------------------------------------------------------
 # Printer/parser round-trips
 
@@ -160,6 +210,19 @@ def test_erased_term_roundtrip(rng):
     syms = ("f", "g")
     t = random_erased_term(rng, syms, 4)
     assert parse_erased_term(print_erased(t), frozenset(syms)) == t
+
+
+@given(st.data(), st.sampled_from(["f", "x"]), st.lists(patterns(2), max_size=3),
+       st.lists(constructor_terms(), max_size=3))
+def test_left_hand_side_parentheses_are_transparent(data, head, pats, args):
+    elements = [head, *pattern_groups(data.draw, pats),
+                *(" " + written_argument(data.draw, a) for a in args)]
+    prelude = "symbol f : B(leaf) recursive 0;\n"
+    (rule,) = parse_system(f"{prelude}rule {wrap_prefixes(data.draw, elements)} -> Leaf;\n").rules
+    assert (rule.head, rule.pattern_args, rule.recursive_args) == (head, tuple(pats), tuple(args))
+    (canonical,) = parse_system(prelude + print_rule(rule) + "\n").rules
+    assert rule == canonical
+    assert (rule.loc.line, rule.loc.col) == (canonical.loc.line, canonical.loc.col) == (2, 1)
 
 
 @given(rngs())

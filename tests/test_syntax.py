@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import pytest
 
+from treeterm import syntax
 from treeterm.syntax import (
     ParseError,
     parse_erased_term,
@@ -16,6 +17,7 @@ from treeterm.syntax import (
     print_system,
     print_term,
     print_type,
+    tokenize,
 )
 from treeterm.terms import (
     App,
@@ -32,6 +34,7 @@ from treeterm.terms import (
     EVar,
     Forall,
     Lam,
+    NodeCon,
     PatApp,
     PatLam,
     PBottom,
@@ -61,6 +64,7 @@ from helpers import (
     pattern_is_closed,
     pattern_is_minimal,
     pattern_size,
+    ring_text,
 )
 
 
@@ -261,6 +265,95 @@ def test_non_constructor_lhs_argument_rejected():
     )
     with pytest.raises(ParseError):
         parse_system(text)
+
+
+LHS_PRELUDE = (
+    "symbol f : forall a. B(a) -> B(leaf) recursive 1;\n"
+    "symbol g : B(leaf) recursive 0;\n"
+)
+
+
+@pytest.mark.parametrize("lhs,canonical", [
+    ("(f[a]) x", "f[a] x"),
+    ("(f x) y", "f x y"),
+    ("f[a][b]", "f[a,b]"),
+    ("(x)", "x"),
+    ("f ((Node[a,b] x) y)", "f (Node[a,b] x y)"),
+    ("f ((Node) x y)", "f (Node x y)"),
+    ("((f)[a] ((Node)[a][b] (x) ((Leaf))))", "f[a] (Node[a,b] x Leaf)"),
+])
+def test_lhs_parentheses_are_transparent(lhs, canonical):
+    (rule,) = parse_system(f"{LHS_PRELUDE}rule {lhs} -> Leaf;\n").rules
+    (expected,) = parse_system(f"{LHS_PRELUDE}rule {canonical} -> Leaf;\n").rules
+    assert rule == expected
+    assert (rule.loc.line, rule.loc.col) == (expected.loc.line, expected.loc.col) == (3, 1)
+
+
+LHS_SHAPE = "rule left-hand side must be a symbol applied to pattern arguments"
+LHS_ARGUMENT = "rule left-hand side arguments must be constructor terms"
+
+
+@pytest.mark.parametrize("lhs,message", [
+    # a pattern group after the first constructor argument
+    ("f x [a]", LHS_SHAPE),
+    ("(f x)[a]", LHS_SHAPE),
+    ("f (Node x [a] y)", LHS_ARGUMENT),
+    ("f ((Node x)[a] y)", LHS_ARGUMENT),
+    # a Node with one or three annotations, or without two arguments
+    ("f (Node[a] x y)", LHS_ARGUMENT),
+    ("f (Node[a,b,c] x y)", LHS_ARGUMENT),
+    ("f ((Node[a][b])[c] x y)", LHS_ARGUMENT),
+    ("f Node", LHS_ARGUMENT),
+    ("f (Node[a,b])", LHS_ARGUMENT),
+    ("f (Node x)", LHS_ARGUMENT),
+    ("f (Node x y z)", LHS_ARGUMENT),
+    ("f ((Node x y) z)", LHS_ARGUMENT),
+    # a declared symbol as an argument
+    ("f g", LHS_ARGUMENT),
+    ("f[a] (g)", LHS_ARGUMENT),
+    ("f (Node g x)", LHS_ARGUMENT),
+    # other arguments that are no constructor terms
+    ("f (x y)", LHS_ARGUMENT),
+    ("f (x[a])", LHS_ARGUMENT),
+    ("f (Leaf x)", LHS_ARGUMENT),
+    ("f (\\y:B(a). y)", LHS_ARGUMENT),
+    # a head that is not an identifier
+    ("Leaf", LHS_SHAPE),
+    ("Node x y", LHS_SHAPE),
+    ("(Node[a,b] x) y", LHS_SHAPE),
+    ("\\y:B(a). y", LHS_SHAPE),
+    ("(/\\a. f[a]) x", LHS_SHAPE),
+])
+def test_malformed_lhs_rejected(lhs, message):
+    with pytest.raises(ParseError) as err:
+        parse_system(f"{LHS_PRELUDE}rule {lhs} -> Leaf;\n")
+    assert err.value.message.startswith(message)
+
+
+def test_lhs_builds_no_annotated_terms(monkeypatch):
+    built = []
+    init = NodeCon.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(syntax.NodeCon, "__init__", counting_init)
+    parse_term("Node x y")
+    assert len(built) == 1  # the count sees the parser's constructions
+    built.clear()
+    parse_system(ring_text(50))
+    assert built == []
+
+
+def test_tokenize_positions():
+    text = "# comment\nsymbol\r\nf\t:"
+    assert [(t.kind, t.line, t.col) for t in tokenize(text)] == [
+        ("symbol", 2, 1), ("ident", 3, 1), (":", 3, 3), ("eof", 3, 4),
+    ]
+    with pytest.raises(ParseError) as err:
+        tokenize("f x\n  y $ z")
+    assert (err.value.message, err.value.line, err.value.col) == ("unexpected character '$'", 2, 5)
 
 
 def test_duplicate_symbol_rejected():

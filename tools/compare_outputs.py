@@ -5,9 +5,10 @@
 
 OLD_SRC and NEW_SRC are directories holding a `treeterm` package, such as
 the `src/` of two checkouts.  The inputs are `systems/*.trs`, the invalid
-systems `systems/invalid/*.trs` and every distinct ring, clique and wide
-system of perfbench seeds 1-3, built by `perfbench/workloads.py`.  For each
-system the script records:
+systems `systems/invalid/*.trs`, the systems with parse errors
+`systems/parse/*.trs` and every distinct ring, clique and wide system of
+perfbench seeds 1-3, built by `perfbench/workloads.py`.  For each system
+the script records:
 
 - `check --json -` without `timing`, and its exit code;
 - the `check` text, its exit code and the `check --dot` file;
