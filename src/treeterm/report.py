@@ -3,7 +3,8 @@ styles, the DOT graph, the `check` text and the structured JSON report.
 
 A report is a plain JSON-serializable dict; the layout is versioned so
 downstream consumers can detect changes.  Everything except the timing
-block is a deterministic function of the input file and flags.
+block is a deterministic function of the input file and flags, and
+`report_to_json` writes it as `json.dumps(indent=2)` would, byte for byte.
 """
 from __future__ import annotations
 
@@ -12,19 +13,23 @@ from typing import Any
 
 from .analysis import DependencyPair, Verdict, is_nontrivial, sccs
 from .syntax import ParseError, print_pattern, print_rule, print_type
-from .terms import Pattern, RewriteSystem
+from .terms import RewriteSystem
 from .typecheck import Diagnostic, ValidatedSystem
 
 SCHEMA_VERSION = 1
+_encode_str = json.encoder.encode_basestring_ascii
 _PALETTE = ("lightblue", "lightsalmon", "palegreen", "khaki", "plum", "lightgrey")
 
 
 def dp_label(dp: DependencyPair) -> str:
-    def side(symbol: str, args: tuple[Pattern, ...]) -> str:
-        rendered = ",".join(print_pattern(p) for p in args)
-        return f"{symbol}♯({rendered})" if args else f"{symbol}♯"
+    return _label(dp, list(map(print_pattern, dp.lhs_args)), list(map(print_pattern, dp.rhs_args)))
 
-    return f"{side(dp.lhs_symbol, dp.lhs_args)} -> {side(dp.rhs_symbol, dp.rhs_args)}"
+
+def _label(dp: DependencyPair, lhs_args: list[str], rhs_args: list[str]) -> str:
+    """The label of `dp`, from its patterns as printed."""
+    lhs = f"{dp.lhs_symbol}♯({','.join(lhs_args)})" if lhs_args else f"{dp.lhs_symbol}♯"
+    rhs = f"{dp.rhs_symbol}♯({','.join(rhs_args)})" if rhs_args else f"{dp.rhs_symbol}♯"
+    return f"{lhs} -> {rhs}"
 
 
 def failure_message(verdict: Verdict) -> str:
@@ -64,7 +69,7 @@ def to_dot(verdict: Verdict) -> str:
         if i in strict:
             attrs.append("penwidth=2")
         lines.append(f"  n{i} [{' '.join(attrs)}];")
-    lines.extend(f"  n{a} -> n{b};" for a, b in sorted(verdict.graph.edges))
+    lines.extend(f"  n{a} -> n{b};" for a, succ in enumerate(verdict.graph.adjacency) for b in succ)
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -165,19 +170,20 @@ def build_report(
         ]
     if verdict is not None:
         graph = verdict.graph
-        report["dependencyPairs"] = [
-            {
+        pairs = report["dependencyPairs"]
+        for i, dp in enumerate(graph.nodes):
+            lhs_args = [print_pattern(p) for p in dp.lhs_args]
+            rhs_args = [print_pattern(p) for p in dp.rhs_args]
+            pairs.append({
                 "index": i,
                 "lhsSymbol": dp.lhs_symbol,
-                "lhsArgs": [print_pattern(p) for p in dp.lhs_args],
+                "lhsArgs": lhs_args,
                 "rhsSymbol": dp.rhs_symbol,
-                "rhsArgs": [print_pattern(p) for p in dp.rhs_args],
+                "rhsArgs": rhs_args,
                 "ruleIndex": dp.rule_index,
-                "label": dp_label(dp),
-            }
-            for i, dp in enumerate(graph.nodes)
-        ]
-        report["edges"] = [list(e) for e in sorted(graph.edges)]
+                "label": _label(dp, lhs_args, rhs_args),
+            })
+        report["edges"] = [[a, b] for a, succ in enumerate(graph.adjacency) for b in succ]
         report["sccs"] = [
             {"nodes": list(scc), "nontrivial": is_nontrivial(scc, graph)}
             for scc in sccs(graph)
@@ -205,4 +211,23 @@ def build_report(
 
 
 def report_to_json(report: dict[str, Any]) -> str:
-    return json.dumps(report, indent=2, sort_keys=False) + "\n"
+    """Exactly `json.dumps(report, indent=2) + "\\n"` for any report of dicts with
+    `str` keys, lists, str, int, float, bool and None.  With `indent`, `json.dumps`
+    walks every value in Python generator code; this writer makes one call per
+    dict or list, and encodes the str and int items in it in place."""
+    return _to_json(report, "\n") + "\n"
+
+
+def _to_json(value: Any, newline: str) -> str:
+    """`value` in `json.dumps(indent=2)` layout, at the indent `newline` ends with."""
+    if not value or not isinstance(value, (dict, list, tuple)):
+        return _encode_str(value) if isinstance(value, str) else json.dumps(value)  # or `[]`, `{}`
+    inner = newline + "  "
+    if isinstance(value, dict):
+        items = [_encode_str(k) + ": " + (_encode_str(v) if type(v) is str else
+                                          int.__repr__(v) if type(v) is int else _to_json(v, inner))
+                 for k, v in value.items()]
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+    items = [_encode_str(v) if type(v) is str else int.__repr__(v) if type(v) is int
+             else _to_json(v, inner) for v in value]
+    return f"[{inner}{(',' + inner).join(items)}{newline}]"

@@ -103,7 +103,7 @@ def render_graph_png(verdict: Verdict) -> bytes:
     angle = [2 * math.pi * i / n - math.pi / 2 for i in range(n)]
     pos = [(centre + radius * math.cos(a), centre + radius * math.sin(a)) for a in angle]
 
-    for a, b in sorted(graph.edges):
+    for a, b in ((a, b) for a, succ in enumerate(graph.adjacency) for b in succ):
         if a == b:
             (x, y), out = pos[a], 1.4 * _R
             canvas.ring(x + out * math.cos(angle[a]), y + out * math.sin(angle[a]), 0.8 * _R, 2, _BLACK)

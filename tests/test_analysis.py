@@ -19,7 +19,7 @@ from treeterm.analysis import (
     pattern_unifiable,
     sccs,
 )
-from treeterm.report import dp_label, failure_message, to_dot, verdict_lines
+from treeterm.report import build_report, dp_label, failure_message, to_dot, verdict_lines
 from treeterm.syntax import parse_pattern, parse_system, print_pattern
 from treeterm.terms import pattern_subst
 from treeterm.typecheck import validate_system
@@ -221,6 +221,21 @@ def test_adjacency_is_sorted_and_built_once(fgih_validated):
     assert g.adjacency is g.adjacency
     assert all(list(s) == sorted(s) for s in g.adjacency)
     assert sorted((a, b) for a, succ in enumerate(g.adjacency) for b in succ) == sorted(g.edges)
+
+
+@pytest.mark.parametrize("vs", [
+    *(pytest.param(load_validated(path), id=path.stem) for path in sorted(SYSTEMS.glob("*.trs"))
+      if path.stem != "nonminimal"),
+    pytest.param(system(clique_text(8)), id="clique-8"),
+])
+def test_adjacency_lists_the_edges_in_sorted_order(vs):
+    """The DOT file and the JSON report read their edges from `adjacency`."""
+    verdict = check_criterion(vs)
+    edges = sorted(verdict.graph.edges)
+    assert [(a, b) for a, succ in enumerate(verdict.graph.adjacency) for b in succ] == edges
+    assert build_report("x", "unknown", verdict=verdict)["edges"] == [[a, b] for a, b in edges]
+    dot_edges = [line for line in to_dot(verdict).splitlines() if line.startswith("  n") and "[" not in line]
+    assert dot_edges == [f"  n{a} -> n{b};" for a, b in edges]
 
 
 # ---------------------------------------------------------------------------

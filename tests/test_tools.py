@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,3 +34,26 @@ def test_bench_pairs_refuses_a_checkout_with_cached_bytecode(monkeypatch, capsys
         bench_pairs.main([str(tmp_path), "--pr", "0"])
     assert exit_info.value.code == 2
     assert str(cache) in capsys.readouterr().err
+
+
+def report_record(compare_outputs, text: str) -> dict:
+    """The record `compare_outputs.py` keeps of a `check --json -` run that
+    prints `text`."""
+    def main(argv):
+        sys.stdout.write(text)
+        return 0
+
+    return next(compare_outputs.records(main, "system", ["x.trs"], False))
+
+
+def test_compare_outputs_records_the_report_bytes():
+    compare_outputs = load_tool("compare_outputs")
+    doc = {"file": "x.trs", "label": "f♯(a) -> g♯", "edges": [[0, 1]], "timing": {"seconds": 0.25}}
+    text = json.dumps(doc, indent=2) + "\n"
+    record = report_record(compare_outputs, text)
+    assert "0.25" not in record["stdout"]
+    doc["timing"]["seconds"] = 1.5e-05
+    assert report_record(compare_outputs, json.dumps(doc, indent=2) + "\n") == record
+    for changed in (json.dumps(doc, indent=1) + "\n", json.dumps(doc, indent=2, ensure_ascii=False) + "\n",
+                    json.dumps(doc, indent=2)):
+        assert report_record(compare_outputs, changed) != record
