@@ -1,6 +1,7 @@
 """The textual .trs format of pattern-refined tree rewrite systems: the
-tokenizer, which is one regular-expression scan; the recursive-descent
-parser, which reads each rule's left-hand side straight into its head,
+tokenizer, which scans one line at a time into plain (kind, text, line,
+col) tuples; the recursive-descent parser, which reads the token kinds
+from a list and each rule's left-hand side straight into its head,
 pattern arguments and constructor terms; and the printers.
 
 The abstract syntax they read and write lives in `terms`.
@@ -40,7 +41,6 @@ from .terms import (
     PNode,
     PVar,
     PWild,
-    Record,
     RefinementType,
     RewriteRule,
     RewriteSystem,
@@ -68,43 +68,35 @@ class ParseError(Exception):
 
 KEYWORDS = frozenset({"symbol", "rule", "forall", "recursive", "B", "leaf", "node", "bot",
                       "Leaf", "Node"})
+# Keywords, "_" and punctuation are their own kind; other words are "ident".
+_KINDS = {s: s for s in (*KEYWORDS, "_", "->", "/\\", "\\", *"()[],;:.")}
 
-# A newline, blanks or a comment, a token, or any other character (an error).
+# Blanks, then a token, a comment, any other character (an error), or the
+# end of the line.  The lines come from splitting at "\n" only.
 _TOKEN_RE = re.compile(
-    r"""(?P<newline>\n)
-      | [^\S\n]+ | \#[^\n]*
-      | (?P<token>->|/\\|\\|[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[()\[\],;:.])
-      | (?P<other>.)
+    r"""\s*(?: (?P<ident>[A-Za-z_][A-Za-z0-9_]*) | (?P<punct>[()\[\],;:.]|->|/\\|\\)
+             | (?P<nat>[0-9]+) | \#.* | (?P<other>.) | \Z)
     """,
     re.VERBOSE,
 )
 
-
-class Token(Record):
-    __slots__ = ("kind", "text", "line", "col")
+Token = tuple[str, str, int, int]  # kind, text, line, column
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, line_start = 1, 0
-    for m in _TOKEN_RE.finditer(text):
-        group = m.lastgroup
-        if group == "newline":
-            line += 1
-            line_start = m.end()
-        elif group is not None:
-            value = m.group()
-            col = m.start() - line_start + 1
+    append, kind_of, scan = tokens.append, _KINDS.get, _TOKEN_RE.finditer
+    lines = text.split("\n")
+    for line, chars in enumerate(lines, 1):
+        for m in scan(chars):
+            group = m.lastgroup
+            if group is None:  # a comment or the end of the line
+                break
+            value = m[group]
             if group == "other":
-                raise ParseError(f"unexpected character {value!r}", line, col)
-            if value.isdigit():
-                kind = "nat"
-            elif value.isidentifier() and value != "_" and value not in KEYWORDS:
-                kind = "ident"
-            else:  # keywords, "_", punctuation, arrows and lambdas are their own kind
-                kind = value
-            tokens.append(Token(kind, value, line, col))
-    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
+                raise ParseError(f"unexpected character {value!r}", line, m.start(group) + 1)
+            append((kind_of(value, group), value, line, m.start(group) + 1))
+    append(("eof", "", len(lines), len(lines[-1]) + 1))
     return tokens
 
 
@@ -119,48 +111,49 @@ _ARGUMENT_ERROR = ("rule left-hand side arguments must be constructor terms "
                    "(variables, Leaf, or Node with zero or two pattern annotations)")
 
 
+def _loc(tok: Token) -> Loc:
+    return Loc(tok[2], tok[3])
+
+
 class _Parser:
+    """Reads `tokens` from position `i`; `kinds` holds their kinds, in order."""
+
     def __init__(self, tokens: list[Token], symbols: frozenset[str]):
         self.tokens = tokens
+        self.kinds = [tok[0] for tok in tokens]
         self.symbols = symbols
         self.i = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> Token:
+    def expect(self, kind: str) -> Token:
         tok = self.tokens[self.i]
+        if tok[0] != kind:
+            raise ParseError(f"unexpected {tok[1] or 'end of input'!r}", tok[2], tok[3], (kind,))
         self.i += 1
         return tok
 
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"unexpected {tok.text or 'end of input'!r}", tok.line, tok.col, (kind,))
-        return self.advance()
-
     def fail(self, message: str, expected: tuple[str, ...] = ()) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.col, expected)
+        tok = self.tokens[self.i]
+        return ParseError(message, tok[2], tok[3], expected)
 
     # -- patterns
 
     def pattern(self) -> Pattern:
-        tok = self.peek()
-        if tok.kind == "ident":
-            self.advance()
-            return PVar(tok.text)
-        if tok.kind == "leaf":
-            self.advance()
+        kind = self.kinds[self.i]
+        if kind == "ident":
+            name = self.tokens[self.i][1]
+            self.i += 1
+            return PVar(name)
+        if kind == "leaf":
+            self.i += 1
             return PLeaf()
-        if tok.kind == "bot":
-            self.advance()
+        if kind == "bot":
+            self.i += 1
             return PBottom()
-        if tok.kind == "_":
-            self.advance()
+        if kind == "_":
+            self.i += 1
             return PWild()
-        if tok.kind == "node":
-            self.advance()
+        if kind == "node":
+            self.i += 1
             self.expect("(")
             left = self.pattern()
             self.expect(",")
@@ -172,8 +165,8 @@ class _Parser:
     def pattern_group(self) -> list[Pattern]:
         self.expect("[")
         pats = [self.pattern()]
-        while self.peek().kind == ",":
-            self.advance()
+        while self.kinds[self.i] == ",":
+            self.i += 1
             pats.append(self.pattern())
         self.expect("]")
         return pats
@@ -181,32 +174,33 @@ class _Parser:
     # -- types
 
     def type_(self) -> RefinementType:
-        if self.peek().kind == "forall":
-            self.advance()
-            binders = [self.expect("ident").text]
-            while self.peek().kind == "ident":
-                binders.append(self.advance().text)
+        if self.kinds[self.i] == "forall":
+            self.i += 1
+            binders = [self.expect("ident")[1]]
+            while self.kinds[self.i] == "ident":
+                binders.append(self.tokens[self.i][1])
+                self.i += 1
             self.expect(".")
             body = self.type_()
             for name in reversed(binders):
                 body = Forall(name, body)
             return body
         left = self.atype()
-        if self.peek().kind == "->":
-            self.advance()
+        if self.kinds[self.i] == "->":
+            self.i += 1
             return Arrow(left, self.type_())
         return left
 
     def atype(self) -> RefinementType:
-        tok = self.peek()
-        if tok.kind == "B":
-            self.advance()
+        kind = self.kinds[self.i]
+        if kind == "B":
+            self.i += 1
             self.expect("(")
             p = self.pattern()
             self.expect(")")
             return Base(p)
-        if tok.kind == "(":
-            self.advance()
+        if kind == "(":
+            self.i += 1
             t = self.type_()
             self.expect(")")
             return t
@@ -215,50 +209,51 @@ class _Parser:
     # -- terms
 
     def term(self) -> AnnotatedTerm:
-        tok = self.peek()
-        if tok.kind == "\\":
-            self.advance()
-            binder = self.expect("ident").text
+        tok = self.tokens[self.i]
+        if tok[0] == "\\":
+            self.i += 1
+            binder = self.expect("ident")[1]
             self.expect(":")
             annot = self.type_()
             self.expect(".")
-            return Lam(binder, annot, self.term(), loc=Loc(tok.line, tok.col))
-        if tok.kind == "/\\":
-            self.advance()
-            binder = self.expect("ident").text
+            return Lam(binder, annot, self.term(), loc=_loc(tok))
+        if tok[0] == "/\\":
+            self.i += 1
+            binder = self.expect("ident")[1]
             self.expect(".")
-            return PatLam(binder, self.term(), loc=Loc(tok.line, tok.col))
+            return PatLam(binder, self.term(), loc=_loc(tok))
         return self.app()
 
     def app(self) -> AnnotatedTerm:
         t = self.atom()
         while True:
-            tok = self.peek()
-            if tok.kind in _ATOM_STARTERS:
-                t = App(t, self.atom(), loc=Loc(tok.line, tok.col))
-            elif tok.kind == "[":
-                loc = Loc(tok.line, tok.col)
+            kind = self.kinds[self.i]
+            if kind in _ATOM_STARTERS:
+                loc = _loc(self.tokens[self.i])
+                t = App(t, self.atom(), loc=loc)
+            elif kind == "[":
+                loc = _loc(self.tokens[self.i])
                 for p in self.pattern_group():
                     t = PatApp(t, p, loc=loc)
             else:
                 return t
 
     def atom(self) -> AnnotatedTerm:
-        tok = self.peek()
-        if tok.kind == "ident":
-            self.advance()
-            loc = Loc(tok.line, tok.col)
-            if tok.text in self.symbols:
-                return SymbolRef(tok.text, loc=loc)
-            return TermVar(tok.text, loc=loc)
-        if tok.kind == "Leaf":
-            self.advance()
-            return LeafCon(loc=Loc(tok.line, tok.col))
-        if tok.kind == "Node":
-            self.advance()
-            return NodeCon(loc=Loc(tok.line, tok.col))
-        if tok.kind == "(":
-            self.advance()
+        tok = self.tokens[self.i]
+        kind = tok[0]
+        if kind == "ident":
+            self.i += 1
+            if tok[1] in self.symbols:
+                return SymbolRef(tok[1], loc=_loc(tok))
+            return TermVar(tok[1], loc=_loc(tok))
+        if kind == "Leaf":
+            self.i += 1
+            return LeafCon(loc=_loc(tok))
+        if kind == "Node":
+            self.i += 1
+            return NodeCon(loc=_loc(tok))
+        if kind == "(":
+            self.i += 1
             t = self.term()
             self.expect(")")
             return t
@@ -267,32 +262,31 @@ class _Parser:
     # -- erased terms: plain lambdas and applications, no annotations
 
     def erased_term(self) -> ErasedTerm:
-        tok = self.peek()
-        if tok.kind == "\\":
-            self.advance()
-            binder = self.expect("ident").text
+        if self.kinds[self.i] == "\\":
+            self.i += 1
+            binder = self.expect("ident")[1]
             self.expect(".")
             return ELam(binder, self.erased_term())
         t = self.erased_atom()
-        while self.peek().kind in _ATOM_STARTERS:
+        while self.kinds[self.i] in _ATOM_STARTERS:
             t = EApp(t, self.erased_atom())
         return t
 
     def erased_atom(self) -> ErasedTerm:
-        tok = self.peek()
-        if tok.kind == "ident":
-            self.advance()
-            if tok.text in self.symbols:
-                return ESym(tok.text)
-            return EVar(tok.text)
-        if tok.kind == "Leaf":
-            self.advance()
+        kind, text, _, _ = self.tokens[self.i]
+        if kind == "ident":
+            self.i += 1
+            if text in self.symbols:
+                return ESym(text)
+            return EVar(text)
+        if kind == "Leaf":
+            self.i += 1
             return ELeaf()
-        if tok.kind == "Node":
-            self.advance()
+        if kind == "Node":
+            self.i += 1
             return ENode()
-        if tok.kind == "(":
-            self.advance()
+        if kind == "(":
+            self.i += 1
             t = self.erased_term()
             self.expect(")")
             return t
@@ -305,28 +299,29 @@ class _Parser:
         arguments.  Parentheses may wrap any prefix, as in terms; an
         `argument` is one token or one parenthesized spine.  A lambda head or
         a pattern group after an argument raises `error` at the head."""
+        kinds = self.kinds
         opened = 0
-        while self.peek().kind == "(":
-            self.advance()
+        while kinds[self.i] == "(":
+            self.i += 1
             opened += 1
-        head = self.peek()
-        if head.kind in ("\\", "/\\"):
-            raise ParseError(error, head.line, head.col)
-        if head.kind not in _ATOM_STARTERS:
+        head = self.tokens[self.i]
+        if head[0] in ("\\", "/\\"):
+            raise ParseError(error, head[2], head[3])
+        if head[0] not in _ATOM_STARTERS:
             raise self.fail("expected a term", _TERM_EXPECTED)
-        self.advance()
+        self.i += 1
         pats: list[Pattern] = []
         args: list[ConstructorTerm] = []
         while opened or not argument:
-            kind = self.peek().kind
+            kind = kinds[self.i]
             if kind == "[":
                 if args:
-                    raise ParseError(error, head.line, head.col)
+                    raise ParseError(error, head[2], head[3])
                 pats += self.pattern_group()
             elif kind in _ATOM_STARTERS:
                 args.append(self.constructor(*self.spine(_ARGUMENT_ERROR, True)))
             elif kind == ")" and opened:
-                self.advance()
+                self.i += 1
                 opened -= 1
             else:
                 break
@@ -336,46 +331,52 @@ class _Parser:
 
     def constructor(self, head: Token, pats: list[Pattern],
                     args: list[ConstructorTerm]) -> ConstructorTerm:
-        if head.kind == "Node" and len(pats) in (0, 2) and len(args) == 2:
+        kind, text, line, col = head
+        if kind == "Node" and len(pats) in (0, 2) and len(args) == 2:
             return ConNode(*(pats or (None, None)), *args)
-        if head.kind == "Leaf" and not (pats or args):
+        if kind == "Leaf" and not (pats or args):
             return ConLeaf()
-        if head.kind == "ident" and not (pats or args) and head.text not in self.symbols:
-            return ConVar(head.text)
-        raise ParseError(_ARGUMENT_ERROR, head.line, head.col)
+        if kind == "ident" and not (pats or args) and text not in self.symbols:
+            return ConVar(text)
+        raise ParseError(_ARGUMENT_ERROR, line, col)
 
     # -- declarations
 
     def symbol_decl(self) -> tuple[str, SymbolInfo]:
         start = self.expect("symbol")
-        name_tok = self.expect("ident")
+        name = self.expect("ident")[1]
         self.expect(":")
         ty = self.type_()
         self.expect("recursive")
-        count_tok = self.expect("nat")
+        _, digits, line, col = self.expect("nat")
         self.expect(";")
-        return name_tok.text, SymbolInfo(ty, int(count_tok.text), loc=Loc(start.line, start.col))
+        try:
+            count = int(digits)
+        except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+            raise ParseError("recursive count has too many digits", line, col) from None
+        return name, SymbolInfo(ty, count, loc=_loc(start))
 
     def rule_decl(self) -> RewriteRule:
         start = self.expect("rule")
         head, pats, args = self.spine(_LHS_ERROR, False)
-        if head.kind != "ident":
-            raise ParseError(_LHS_ERROR, head.line, head.col)
+        if head[0] != "ident":
+            raise ParseError(_LHS_ERROR, head[2], head[3])
         self.expect("->")
         rhs = self.term()
         self.expect(";")
-        return RewriteRule(head.text, tuple(pats), tuple(args), rhs, loc=Loc(start.line, start.col))
+        return RewriteRule(head[1], tuple(pats), tuple(args), rhs, loc=_loc(start))
 
     def system(self) -> RewriteSystem:
         symbols: dict[str, SymbolInfo] = {}
         rules: list[RewriteRule] = []
-        while (tok := self.peek()).kind != "eof":
-            if tok.kind == "symbol":
+        while (kind := self.kinds[self.i]) != "eof":
+            if kind == "symbol":
+                _, _, line, col = self.tokens[self.i]
                 name, info = self.symbol_decl()
                 if name in symbols:
-                    raise ParseError(f"symbol {name!r} declared twice", tok.line, tok.col)
+                    raise ParseError(f"symbol {name!r} declared twice", line, col)
                 symbols[name] = info
-            elif tok.kind == "rule":
+            elif kind == "rule":
                 rules.append(self.rule_decl())
             else:
                 raise self.fail("expected a declaration", ("symbol", "rule"))
@@ -390,7 +391,7 @@ def parse_system(text: str) -> RewriteSystem:
     Arity and typing problems are left to validation.
     """
     tokens = tokenize(text)
-    declared = frozenset(b.text for a, b in pairwise(tokens) if a.kind == "symbol" and b.kind == "ident")
+    declared = frozenset(b[1] for a, b in pairwise(tokens) if a[0] == "symbol" and b[0] == "ident")
     return _Parser(tokens, declared).system()
 
 

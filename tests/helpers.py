@@ -6,6 +6,7 @@ the acceptance runs are reproducible.
 from __future__ import annotations
 
 import random
+import re
 from collections import defaultdict, deque
 from itertools import count, permutations, product
 
@@ -26,7 +27,7 @@ from treeterm.rewrite import (
     match_lhs,
     rule_index,
 )
-from treeterm.syntax import print_erased
+from treeterm.syntax import KEYWORDS, ParseError, print_erased
 from treeterm.terms import (
     AnnotatedTerm,
     App,
@@ -272,6 +273,45 @@ def reference_normalize(t: ErasedTerm, sys: RewriteSystem, fuel: int = 10000) ->
             color[k] = 2
             stack.pop()
     return NormalForms(frozenset(normals))
+
+
+# ---------------------------------------------------------------------------
+# The one-scan tokenizer that `syntax.tokenize` replaced, kept as the
+# reference it is compared against: one pass over the whole text, with
+# newlines matched as tokens of their own and kinds found by string tests.
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""(?P<newline>\n)
+      | [^\S\n]+ | \#[^\n]*
+      | (?P<token>->|/\\|\\|[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[()\[\],;:.])
+      | (?P<other>.)
+    """,
+    re.VERBOSE,
+)
+
+
+def reference_tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    tokens = []
+    line, line_start = 1, 0
+    for m in _REFERENCE_TOKEN_RE.finditer(text):
+        group = m.lastgroup
+        if group == "newline":
+            line += 1
+            line_start = m.end()
+        elif group is not None:
+            value = m.group()
+            col = m.start() - line_start + 1
+            if group == "other":
+                raise ParseError(f"unexpected character {value!r}", line, col)
+            if value.isdigit():
+                kind = "nat"
+            elif value.isidentifier() and value != "_" and value not in KEYWORDS:
+                kind = "ident"
+            else:  # keywords, "_", punctuation, arrows and lambdas are their own kind
+                kind = value
+            tokens.append((kind, value, line, col))
+    tokens.append(("eof", "", line, len(text) - line_start + 1))
+    return tokens
 
 
 # ---------------------------------------------------------------------------

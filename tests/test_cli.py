@@ -246,6 +246,7 @@ PARSE_ERRORS = {
                     "(variables, Leaf, or Node with zero or two pattern annotations)",
     "lhs-head": "5:6: rule left-hand side must be a symbol applied to pattern arguments "
                 "and then constructor arguments",
+    "recursive-count-too-large": "4:30: recursive count has too many digits",
     "unexpected-character": "5:18: unexpected character '&'",
     "unexpected-token": "3:10: unexpected 'forall' (expected :)",
 }

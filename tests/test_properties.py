@@ -18,6 +18,7 @@ from treeterm.analysis import (
 )
 from treeterm.rewrite import FuelExhausted, NormalForms, normalize, pattern_form
 from treeterm.syntax import (
+    ParseError,
     parse_erased_term,
     parse_pattern,
     parse_system,
@@ -27,6 +28,7 @@ from treeterm.syntax import (
     print_rule,
     print_system,
     print_type,
+    tokenize,
 )
 from treeterm.terms import (
     Arrow,
@@ -81,6 +83,7 @@ from helpers import (
     reference_find_indices,
     reference_normalize,
     reference_sccs,
+    reference_tokenize,
     step,
     strictly_above_pattern,
     subst_pattern,
@@ -230,6 +233,31 @@ def test_left_hand_side_parentheses_are_transparent(data, head, pats, args):
 def test_system_roundtrip(rng):
     sys = random_system(rng)
     assert parse_system(print_system(sys)) == sys
+
+
+# Tokens, blanks ("\x0c", "\x1c", "\x85" and "\u2028" end a line for
+# str.splitlines but not for the tokenizer), comments, line ends and
+# characters that start no token.
+TEXT_FRAGMENTS = ("symbol", "rule", "forall", "recursive", "B", "leaf", "node", "bot", "Leaf",
+                  "Node", "_", "f0", "x_1", "Bx", "0", "42", "->", "/\\", "\\", "-", "/",
+                  *"()[],;:.", " ", "\t", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028",
+                  "# c\x85 d", "#\u2028x", "#", "\n", "\r\n", "$", "\u00e9", "\u00e9t\u00e9")
+
+
+def tokenize_outcome(tokenize_text, text: str):
+    try:
+        return tokenize_text(text)
+    except ParseError as err:
+        return err.message, err.line, err.col
+
+
+@given(st.lists(st.sampled_from(TEXT_FRAGMENTS), max_size=40).map("".join))
+@example("")
+@example("rule f x -> x;\r\n")
+@example("# only a comment\x85\r\nf\u2028 g")
+@settings(max_examples=500)
+def test_tokenize_agrees_with_reference(text):
+    assert tokenize_outcome(tokenize, text) == tokenize_outcome(reference_tokenize, text)
 
 
 # ---------------------------------------------------------------------------

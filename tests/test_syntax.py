@@ -348,8 +348,13 @@ def test_lhs_builds_no_annotated_terms(monkeypatch):
 
 def test_tokenize_positions():
     text = "# comment\nsymbol\r\nf\t:"
-    assert [(t.kind, t.line, t.col) for t in tokenize(text)] == [
+    assert [(t[0], t[2], t[3]) for t in tokenize(text)] == [
         ("symbol", 2, 1), ("ident", 3, 1), (":", 3, 3), ("eof", 3, 4),
+    ]
+    # only "\n" ends a line: "\x0c" is a blank and "\u2028" stays in its comment
+    text = "f\x0c:. # x\u2028 y\n_"
+    assert [(t[0], t[2], t[3]) for t in tokenize(text)] == [
+        ("ident", 1, 1), (":", 1, 3), (".", 1, 4), ("_", 2, 1), ("eof", 2, 2),
     ]
     with pytest.raises(ParseError) as err:
         tokenize("f x\n  y $ z")

@@ -57,3 +57,17 @@ def test_compare_outputs_records_the_report_bytes():
     for changed in (json.dumps(doc, indent=1) + "\n", json.dumps(doc, indent=2, ensure_ascii=False) + "\n",
                     json.dumps(doc, indent=2)):
         assert report_record(compare_outputs, changed) != record
+
+
+def test_time_stages_times_every_stage_of_one_tree_on_both_sides(capsys):
+    time_stages = load_tool("time_stages")
+    src = str(TOOLS.parent / "src")
+    argv = [src, src, "--workload", "wide", "--seed", "1", "--ops", "3", "--rounds", "2"]
+    assert time_stages.main(argv) == 0
+    title, header, *rows = capsys.readouterr().out.splitlines()
+    assert title == "wide seed 1, 3 ops, 2 rounds: median ms per op"
+    assert header.split() == ["stage", "old", "new", "new/old"]
+    assert [row.split()[0] for row in rows] == list(time_stages.STAGES)
+    for row in rows:
+        old, new, ratio = map(float, row.split()[1:])
+        assert old > 0 and new > 0 and ratio > 0

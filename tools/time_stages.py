@@ -1,0 +1,154 @@
+#!/usr/bin/env python3
+"""Time each stage of `treeterm check` in two source trees, in alternating
+child processes.
+
+    python3 tools/time_stages.py OLD_SRC NEW_SRC --workload W --seed S
+    python3 tools/time_stages.py OLD_SRC NEW_SRC --ring-800
+
+OLD_SRC and NEW_SRC are directories holding a `treeterm` package, such as
+the `src/` of two checkouts.  The ops are the check ops of perfbench
+workload W (ring, clique or wide) for seed S, in their run order, built by
+`perfbench/workloads.py`; `--ops N` keeps the first N.  `--ring-800` times
+the one system `ring_text(800)` instead.
+
+Each round runs one child process per tree, the old tree first in odd
+rounds and the new one first in even rounds, one process at a time.  A
+child warms up on the first op, then times every stage on every op: the
+best of three calls of `tokenize` and `parse_system` on the text,
+`validate_system` on the parsed system, `check_criterion` on the validated
+one, and `build_report` and `report_to_json` on their results, all called
+as perfbench's check runner calls them.  A round's figure for a stage is
+its total time over the ops divided by their number.  The script prints,
+per stage, the median of these figures over the rounds for each tree, in
+milliseconds per op, and the new/old ratio of the medians.  A child that
+fails stops the script with exit 2.
+"""
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+STAGES = ("tokenize", "parse_system", "validate_system", "check_criterion",
+          "build_report", "report_to_json")
+REPEAT = 3  # calls per stage and op; the fastest counts
+
+
+def load_workloads():
+    """perfbench/workloads.py as a module, without putting its directory on
+    sys.path or writing bytecode next to it."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+def texts(workload: str, seed: int, ops: int | None) -> list[str]:
+    workloads = load_workloads()
+    if workload == "ring-800":
+        return [workloads.ring_text(800)]
+    run_order, _ = workloads.build(workload, seed)
+    return [op.text for op in run_order[:ops]]
+
+
+def best(call, *args):
+    """The fastest of REPEAT calls, and the result of the last."""
+    times = []
+    for _ in range(REPEAT):
+        started = perf_counter()
+        result = call(*args)
+        times.append(perf_counter() - started)
+    return min(times), result
+
+
+def time_stages(text: str, syntax, typecheck, analysis, report) -> dict[str, float]:
+    seconds = {}
+    seconds["tokenize"], _ = best(syntax.tokenize, text)
+    seconds["parse_system"], system = best(syntax.parse_system, text)
+    seconds["validate_system"], validated = best(typecheck.validate_system, system)
+    if isinstance(validated, list):
+        raise SystemExit(f"error: a workload system is invalid: {validated[0]}")
+    seconds["check_criterion"], verdict = best(analysis.check_criterion, validated)
+    outcome = "terminating" if verdict.terminating else "unknown"
+    seconds["build_report"], doc = best(
+        lambda: report.build_report("op.trs", outcome, system=system, validated=validated,
+                                    verdict=verdict, elapsed=0.0))
+    seconds["report_to_json"], _ = best(report.report_to_json, doc)
+    return seconds
+
+
+def child(src: str, workload: str, seed: int, ops: int | None) -> None:
+    """Print one round's seconds per op of each stage as JSON."""
+    sys.path.insert(0, src)
+    from treeterm import analysis, report, syntax, typecheck
+
+    op_texts = texts(workload, seed, ops)
+    time_stages(op_texts[0], syntax, typecheck, analysis, report)
+    totals = dict.fromkeys(STAGES, 0.0)
+    for text in op_texts:
+        for stage, seconds in time_stages(text, syntax, typecheck, analysis, report).items():
+            totals[stage] += seconds
+    print(json.dumps({stage: total / len(op_texts) for stage, total in totals.items()}))
+
+
+def run_child(src: Path, args: argparse.Namespace) -> dict[str, float]:
+    argv = [sys.executable, __file__, "--child", str(src), "--workload", args.workload,
+            "--seed", str(args.seed)]
+    argv += (["--ops", str(args.ops)] if args.ops else []) + (["--ring-800"] if args.ring_800 else [])
+    done = subprocess.run(argv, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+    if done.returncode != 0:
+        print(f"error: the child for {src} exited {done.returncode}\n{done.stderr.strip()}",
+              file=sys.stderr)
+        raise SystemExit(2)
+    return json.loads(done.stdout)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old", nargs="?", type=Path, help="the old tree's src directory")
+    parser.add_argument("new", nargs="?", type=Path, help="the new tree's src directory")
+    parser.add_argument("--workload", choices=("ring", "clique", "wide"), default="ring")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--ops", type=int, help="time only the first OPS ops of the run order")
+    parser.add_argument("--ring-800", action="store_true", help="time ring_text(800) alone")
+    parser.add_argument("--rounds", type=int, default=6)
+    parser.add_argument("--child", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    workload = "ring-800" if args.ring_800 else args.workload
+    if args.child:
+        child(args.child, workload, args.seed, args.ops)
+        return 0
+    if args.old is None or args.new is None:
+        parser.error("give the old and the new src directory")
+    trees = {"old": args.old.resolve(), "new": args.new.resolve()}
+    for src in trees.values():
+        if not (src / "treeterm" / "syntax.py").is_file():
+            parser.error(f"no treeterm package under {src}")
+
+    figures: dict[str, list[dict[str, float]]] = {"old": [], "new": []}
+    for r in range(args.rounds):
+        for side in ("old", "new") if r % 2 == 0 else ("new", "old"):
+            figures[side].append(run_child(trees[side], args))
+    count = len(texts(workload, args.seed, args.ops))
+    title = "ring_text(800)" if args.ring_800 else f"{workload} seed {args.seed}, {count} ops"
+    print(f"{title}, {args.rounds} rounds: median ms per op")
+    print(f"{'stage':<16}{'old':>10}{'new':>10}{'new/old':>10}")
+    for stage in STAGES:
+        old, new = (statistics.median(f[stage] for f in figures[side]) * 1e3
+                    for side in ("old", "new"))
+        print(f"{stage:<16}{old:>10.3f}{new:>10.3f}{new / old:>10.2f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.dont_write_bytecode = True
+    raise SystemExit(main())
