@@ -111,10 +111,6 @@ _ARGUMENT_ERROR = ("rule left-hand side arguments must be constructor terms "
                    "(variables, Leaf, or Node with zero or two pattern annotations)")
 
 
-def _loc(tok: Token) -> Loc:
-    return Loc(tok[2], tok[3])
-
-
 class _Parser:
     """Reads `tokens` from position `i`; `kinds` holds their kinds, in order."""
 
@@ -216,12 +212,12 @@ class _Parser:
             self.expect(":")
             annot = self.type_()
             self.expect(".")
-            return Lam(binder, annot, self.term(), loc=_loc(tok))
+            return Lam(binder, annot, self.term(), Loc(tok[2], tok[3]))
         if tok[0] == "/\\":
             self.i += 1
             binder = self.expect("ident")[1]
             self.expect(".")
-            return PatLam(binder, self.term(), loc=_loc(tok))
+            return PatLam(binder, self.term(), Loc(tok[2], tok[3]))
         return self.app()
 
     def app(self) -> AnnotatedTerm:
@@ -229,12 +225,13 @@ class _Parser:
         while True:
             kind = self.kinds[self.i]
             if kind in _ATOM_STARTERS:
-                loc = _loc(self.tokens[self.i])
-                t = App(t, self.atom(), loc=loc)
+                tok = self.tokens[self.i]
+                t = App(t, self.atom(), Loc(tok[2], tok[3]))
             elif kind == "[":
-                loc = _loc(self.tokens[self.i])
+                tok = self.tokens[self.i]
+                loc = Loc(tok[2], tok[3])
                 for p in self.pattern_group():
-                    t = PatApp(t, p, loc=loc)
+                    t = PatApp(t, p, loc)
             else:
                 return t
 
@@ -244,14 +241,14 @@ class _Parser:
         if kind == "ident":
             self.i += 1
             if tok[1] in self.symbols:
-                return SymbolRef(tok[1], loc=_loc(tok))
-            return TermVar(tok[1], loc=_loc(tok))
+                return SymbolRef(tok[1], Loc(tok[2], tok[3]))
+            return TermVar(tok[1], Loc(tok[2], tok[3]))
         if kind == "Leaf":
             self.i += 1
-            return LeafCon(loc=_loc(tok))
+            return LeafCon(Loc(tok[2], tok[3]))
         if kind == "Node":
             self.i += 1
-            return NodeCon(loc=_loc(tok))
+            return NodeCon(Loc(tok[2], tok[3]))
         if kind == "(":
             self.i += 1
             t = self.term()
@@ -318,6 +315,9 @@ class _Parser:
                 if args:
                     raise ParseError(error, head[2], head[3])
                 pats += self.pattern_group()
+            elif kind == "ident" or kind == "Leaf":  # a one-token argument
+                args.append(self.constructor(self.tokens[self.i], [], []))
+                self.i += 1
             elif kind in _ATOM_STARTERS:
                 args.append(self.constructor(*self.spine(_ARGUMENT_ERROR, True)))
             elif kind == ")" and opened:
@@ -354,7 +354,7 @@ class _Parser:
             count = int(digits)
         except ValueError:  # more digits than sys.get_int_max_str_digits() allows
             raise ParseError("recursive count has too many digits", line, col) from None
-        return name, SymbolInfo(ty, count, loc=_loc(start))
+        return name, SymbolInfo(ty, count, Loc(start[2], start[3]))
 
     def rule_decl(self) -> RewriteRule:
         start = self.expect("rule")
@@ -364,7 +364,7 @@ class _Parser:
         self.expect("->")
         rhs = self.term()
         self.expect(";")
-        return RewriteRule(head[1], tuple(pats), tuple(args), rhs, loc=_loc(start))
+        return RewriteRule(head[1], tuple(pats), tuple(args), rhs, Loc(start[2], start[3]))
 
     def system(self) -> RewriteSystem:
         symbols: dict[str, SymbolInfo] = {}
