@@ -235,9 +235,9 @@ def test_system_roundtrip(rng):
     assert parse_system(print_system(sys)) == sys
 
 
-# Tokens, blanks ("\x0c", "\x1c", "\x85" and "\u2028" end a line for
-# str.splitlines but not for the tokenizer), comments, line ends and
-# characters that start no token.
+# Tokens, blanks (str.splitlines ends a line at "\r", "\x0b", "\x0c",
+# "\x1c", "\x85" and "\u2028"; the tokenizer does not), comments, line ends
+# and characters that start no token.
 TEXT_FRAGMENTS = ("symbol", "rule", "forall", "recursive", "B", "leaf", "node", "bot", "Leaf",
                   "Node", "_", "f0", "x_1", "Bx", "0", "42", "->", "/\\", "\\", "-", "/",
                   *"()[],;:.", " ", "\t", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028",
