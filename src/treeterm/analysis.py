@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import string
 from collections.abc import Iterator, Sequence
+from itertools import chain
 
 from .terms import Pattern, PNode, PVar, PWild, Record, pattern_subst
 from .typecheck import ValidatedSystem
@@ -93,17 +94,20 @@ def pattern_unifiable(p: Pattern, q: Pattern) -> bool:
 
 class DependencyGraph(Record, derived=("adjacency",)):
     """The pairs and their edges; `adjacency` lists the sorted successors of
-    every node."""
+    every node, and is derived from `edges` unless given."""
 
     __slots__ = ("nodes", "edges", "adjacency")
 
-    def __init__(self, nodes: tuple[DependencyPair, ...], edges: frozenset[tuple[int, int]]):
-        succ: list[list[int]] = [[] for _ in nodes]
-        for a, b in edges:
-            succ[a].append(b)
+    def __init__(self, nodes: tuple[DependencyPair, ...], edges: frozenset[tuple[int, int]],
+                 adjacency: tuple[tuple[int, ...], ...] | None = None):
+        if adjacency is None:
+            succ: list[list[int]] = [[] for _ in nodes]
+            for a, b in edges:
+                succ[a].append(b)
+            adjacency = tuple(tuple(sorted(s)) for s in succ)
         _set(self, "nodes", nodes)
         _set(self, "edges", edges)
-        _set(self, "adjacency", tuple(tuple(sorted(s)) for s in succ))
+        _set(self, "adjacency", adjacency)
 
 
 def build_graph(dps: tuple[DependencyPair, ...]) -> DependencyGraph:
@@ -113,18 +117,27 @@ def build_graph(dps: tuple[DependencyPair, ...]) -> DependencyGraph:
 
     A call carries all its callee's pattern arguments, while the callee's own
     pairs keep only its recursive ones, so the call's other arguments do not
-    constrain the next pair.  Callers are bucketed by symbol, so each pair is
-    only tested against the pairs its callee can start.
+    constrain the next pair.  The test reads only the two pattern tuples, so
+    the pairs are filed by caller symbol and then by caller patterns, which
+    `extract_dps` names canonically, and each pair is tested once per
+    pattern group of its callee: a group that passes joins the pair's
+    successors whole, in ascending order.
     """
-    callers: dict[str, list[int]] = {}
+    filed: dict[tuple[str, tuple[Pattern, ...]], list[int]] = {}
     for j, b in enumerate(dps):
-        callers.setdefault(b.lhs_symbol, []).append(j)
-    edges = set()
-    for i, a in enumerate(dps):
-        for j in callers.get(a.rhs_symbol, ()):
-            if all(pattern_unifiable(pa, pb) for pa, pb in zip(a.rhs_args, dps[j].lhs_args)):
-                edges.add((i, j))
-    return DependencyGraph(dps, frozenset(edges))
+        filed.setdefault((b.lhs_symbol, b.lhs_args), []).append(j)
+    groups: dict[str, list[tuple[tuple[Pattern, ...], tuple[int, ...]]]] = {}
+    for (symbol, args), members in filed.items():
+        groups.setdefault(symbol, []).append((args, tuple(members)))
+    adjacency: list[tuple[int, ...]] = []
+    for a in dps:
+        found = []
+        for args, members in groups.get(a.rhs_symbol, ()):
+            if all(map(pattern_unifiable, a.rhs_args, args)):
+                found.append(members)
+        adjacency.append(found[0] if len(found) == 1 else tuple(sorted(chain.from_iterable(found))))
+    edges = frozenset([(i, j) for i, succ in enumerate(adjacency) for j in succ])
+    return DependencyGraph(dps, edges, tuple(adjacency))
 
 
 def sccs(g: DependencyGraph) -> list[tuple[int, ...]]:

@@ -9,6 +9,7 @@ block is a deterministic function of the input file and flags, and
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Any
 
 from .analysis import DependencyPair, Verdict, is_nontrivial, sccs
@@ -214,7 +215,9 @@ def report_to_json(report: dict[str, Any]) -> str:
     """Exactly `json.dumps(report, indent=2) + "\\n"` for any report of dicts with
     `str` keys, lists, str, int, float, bool and None.  With `indent`, `json.dumps`
     walks every value in Python generator code; this writer makes one call per
-    dict or list, and encodes the str and int items in it in place."""
+    dict or list, and encodes the str and int items in it in place.  A list of
+    `[int, int]` lists, such as `edges`, is written by one `%` over one
+    template per item, with no call of its own per item."""
     return _to_json(report, "\n") + "\n"
 
 
@@ -228,6 +231,13 @@ def _to_json(value: Any, newline: str) -> str:
                                           int.__repr__(v) if type(v) is int else _to_json(v, inner))
                  for k, v in value.items()]
         return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
-    items = [_encode_str(v) if type(v) is str else int.__repr__(v) if type(v) is int
-             else _to_json(v, inner) for v in value]
-    return f"[{inner}{(',' + inner).join(items)}{newline}]"
+    # `type`, not `isinstance`: a bool is an int, but prints as `true` or `false`
+    if type(value[0]) is list and all(
+            type(v) is list and len(v) == 2 and type(v[0]) is int and type(v[1]) is int
+            for v in value):
+        pair = f"[{inner}  %d,{inner}  %d{inner}]"
+        items = (',' + inner).join([pair] * len(value)) % tuple(chain.from_iterable(value))
+    else:
+        items = (',' + inner).join([_encode_str(v) if type(v) is str else int.__repr__(v)
+                                    if type(v) is int else _to_json(v, inner) for v in value])
+    return f"[{inner}{items}{newline}]"

@@ -9,7 +9,6 @@ The abstract syntax they read and write lives in `terms`.
 from __future__ import annotations
 
 import re
-from itertools import pairwise
 from typing import Callable, TypeVar
 
 from .terms import (
@@ -390,9 +389,16 @@ def parse_system(text: str) -> RewriteSystem:
     name is declared anywhere in the file, and to term variables otherwise.
     Arity and typing problems are left to validation.
     """
-    tokens = tokenize(text)
-    declared = frozenset(b[1] for a, b in pairwise(tokens) if a[0] == "symbol" and b[0] == "ident")
-    return _Parser(tokens, declared).system()
+    parser = _Parser(tokenize(text), frozenset())
+    kinds, tokens = parser.kinds, parser.tokens
+    declared = set()
+    i = 0
+    for _ in range(kinds.count("symbol")):  # the last token is `eof`, never `symbol`
+        i = kinds.index("symbol", i) + 1
+        if kinds[i] == "ident":
+            declared.add(tokens[i][1])
+    parser.symbols = frozenset(declared)
+    return parser.system()
 
 
 def _read_all(text: str, read: Callable[[_Parser], T], symbols: frozenset[str] = frozenset()) -> T:

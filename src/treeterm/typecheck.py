@@ -309,9 +309,12 @@ def _template(c: ConstructorTerm) -> Pattern:
     return PLeaf()
 
 
-def min_type_lhs(rule: RewriteRule, splits: dict[str, Split]) -> tuple[Context, RefinementType]:
+def min_type_lhs(
+    rule: RewriteRule, splits: dict[str, Split]
+) -> tuple[Context, RefinementType, set[str]]:
     """Match a rule's left-hand side against its forced minimal typing;
-    returns the context of its term variables and its type.
+    returns the context of its term variables, its type, and the pattern
+    variables its pattern arguments bind.
 
     The recursive arguments determine their patterns up to the choice of one
     pattern variable per term variable; the rule's written pattern arguments
@@ -339,6 +342,8 @@ def min_type_lhs(rule: RewriteRule, splits: dict[str, Split]) -> tuple[Context, 
         )
 
     mapping: dict[str, str] = {}  # term variable -> pattern variable, a bijection
+    # the pattern variables bound so far; once every argument matches, those
+    # of every pattern argument, as the recursive ones hold nothing else
     used: set[str] = set()
     # (annotation, written pattern at its position) where the two differ
     annotation_mismatches: list[tuple[Pattern, Pattern]] = []
@@ -397,7 +402,7 @@ def min_type_lhs(rule: RewriteRule, splits: dict[str, Split]) -> tuple[Context, 
 
     ctx = Context(tuple((var, Base(PVar(p))) for var, p in mapping.items()))
     lhs_type = type_subst(rest, {quants[i]: rule.pattern_args[i] for i in range(n)})
-    return ctx, lhs_type
+    return ctx, lhs_type, used
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +434,7 @@ def validate_rule(
         return Diagnostic(code, message, loc=loc, rule_index=index, symbol=rule.head)
 
     try:
-        ctx, lhs_type = min_type_lhs(rule, splits)
+        ctx, lhs_type, lhs_pattern_vars = min_type_lhs(rule, splits)
     except TypeCheckError as e:
         return [diag(e.code, e.message, e.loc)]
 
@@ -441,8 +446,7 @@ def validate_rule(
             "E-FREE-VAR",
             f"right-hand side variable {name!r} does not occur on the left-hand side",
         ))
-    allowed_pattern_vars = frozenset().union(*(pattern_vars(p) for p in rule.pattern_args))
-    for name in sorted(pat_vars - allowed_pattern_vars):
+    for name in sorted(pat_vars - lhs_pattern_vars):
         diags.append(diag(
             "E-PATTERN-VAR",
             f"right-hand side pattern variable {name!r} is not introduced by the "

@@ -860,12 +860,15 @@ def ring_text(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def clique_text(n: int) -> str:
-    """clique-n: every one of n unary symbols calls every symbol on a subtree."""
+def clique_text(n: int, passthrough: frozenset[tuple[int, int]] = frozenset()) -> str:
+    """clique-n: every one of n unary symbols calls every symbol on a subtree,
+    except that fi passes its whole tree to fj for each (i, j) in
+    `passthrough`, as in the perfbench clique workload."""
     lines = [f"symbol f{i} : forall a. B(a) -> B(_) recursive 1;" for i in range(n)]
     for i in range(n):
         for j in range(n):
-            lines.append(f"rule f{i}[node(a,b)] (Node[a,b] x y) -> f{j}[a] x;")
+            rhs = f"f{j}[node(a,b)] (Node[a,b] x y)" if (i, j) in passthrough else f"f{j}[a] x"
+            lines.append(f"rule f{i}[node(a,b)] (Node[a,b] x y) -> {rhs};")
     return "\n".join(lines) + "\n"
 
 

@@ -202,6 +202,19 @@ def test_edge_requires_matching_symbol():
     assert sorted(g.edges) == []
 
 
+# g's pairs fall into two pattern groups, {0, 2} and {1, 3}; the f pair
+# unifies with both, so its successors (0, 1, 2, 3) merge the two.
+INTERLEAVED_GROUPS = """\
+symbol f : forall a. B(a) -> B(_) recursive 1;
+symbol g : forall a. B(a) -> B(_) recursive 1;
+rule g[node(a,b)] (Node[a,b] x y) -> f[a] x;
+rule g[leaf] Leaf -> f[leaf] Leaf;
+rule g[node(a,b)] (Node[a,b] x y) -> f[b] y;
+rule g[leaf] Leaf -> g[leaf] Leaf;
+rule f[a] x -> g[a] x;
+"""
+
+
 @pytest.mark.parametrize("vs", [
     pytest.param(load_validated(APP_PATH), id="app"),
     pytest.param(load_validated(FGIH_PATH), id="fgih"),
@@ -210,10 +223,28 @@ def test_edge_requires_matching_symbol():
     pytest.param(system(wide_text(5, 3)), id="wide-5x3"),
     pytest.param(system(wide_text(4, 1)), id="wide-4x1"),
     pytest.param(system(ring_text(7)), id="ring-7"),
+    pytest.param(system(INTERLEAVED_GROUPS), id="interleaved-groups"),
 ])
 def test_bucketed_edges_match_all_pairs(vs):
     dps = extract_dps(vs)
     assert build_graph(dps).edges == reference_edges(dps)
+
+
+def test_build_graph_tests_each_callee_pattern_group_once(monkeypatch):
+    """The 20 pairs of a clique-20 symbol share their patterns, so each of the
+    400 pairs is tested once, not once per pair of its callee (8000)."""
+    dps = extract_dps(system(clique_text(20)))
+    calls = []
+
+    def counting(p, q):
+        calls.append((p, q))
+        return pattern_unifiable(p, q)
+
+    monkeypatch.setattr(analysis, "pattern_unifiable", counting)
+    g = build_graph(dps)
+    assert len(calls) == 400
+    assert len(g.edges) == 8000
+    assert g.edges == reference_edges(dps)
 
 
 def test_adjacency_is_sorted_and_built_once(fgih_validated):
@@ -227,6 +258,9 @@ def test_adjacency_is_sorted_and_built_once(fgih_validated):
     *(pytest.param(load_validated(path), id=path.stem) for path in sorted(SYSTEMS.glob("*.trs"))
       if path.stem != "nonminimal"),
     pytest.param(system(clique_text(8)), id="clique-8"),
+    pytest.param(system(clique_text(6, frozenset({(1, 4), (4, 2), (2, 1)}))), id="clique-6-cycle3"),
+    pytest.param(system(clique_text(7, frozenset({(0, 3), (3, 5), (0, 6), (2, 3)}))), id="clique-7-dag4"),
+    pytest.param(system(INTERLEAVED_GROUPS), id="interleaved-groups"),
 ])
 def test_adjacency_lists_the_edges_in_sorted_order(vs):
     """The DOT file and the JSON report read their edges from `adjacency`."""

@@ -336,6 +336,8 @@ def test_min_typing_deterministic_and_minimal():
             first = min_type_lhs(rule, splits)
             second = min_type_lhs(rule, splits)
             assert first == second
+            # the bound variables are those of every pattern argument
+            assert first[2] == set().union(*map(pattern_vars, rule.pattern_args))
             recursive_patterns = rule.pattern_args[: len(rule.recursive_args)]
             assert all(pattern_is_minimal(p) for p in recursive_patterns)
 
@@ -419,9 +421,15 @@ def test_bucketed_edges_match_all_pairs_on_random_pairs(rng):
     def args() -> tuple:
         return tuple(random_pattern(rng, 2) for _ in range(rng.randint(0, 2)))
 
-    dps = tuple(DependencyPair(rng.choice("fg"), args(), rng.choice("fg"), args())
-                for _ in range(rng.randint(0, 10)))
-    assert build_graph(dps).edges == reference_edges(dps)
+    # Callers draw their patterns from 1-3 tuples per symbol, so several pairs
+    # share one pattern group, and a call can unify with some of a symbol's
+    # groups and not with others.
+    groups = {f: [args() for _ in range(rng.randint(1, 3))] for f in "fg"}
+    callers = [rng.choice("fg") for _ in range(rng.randint(0, 12))]
+    dps = tuple(DependencyPair(f, rng.choice(groups[f]), rng.choice("fg"), args()) for f in callers)
+    g = build_graph(dps)
+    assert g.edges == reference_edges(dps)
+    assert [(a, b) for a, succ in enumerate(g.adjacency) for b in succ] == sorted(g.edges)
 
 
 # Index-search components draw their patterns from here.  Equal patterns

@@ -67,7 +67,9 @@ def test_time_stages_times_every_stage_of_one_tree_on_both_sides(capsys):
     title, header, *rows = capsys.readouterr().out.splitlines()
     assert title == "wide seed 1, 3 ops, 2 rounds: median ms per op"
     assert header.split() == ["stage", "old", "new", "new/old"]
-    assert [row.split()[0] for row in rows] == list(time_stages.STAGES)
+    assert [row.split()[0] for row in rows] == [
+        "tokenize", "parse_system", "validate_system", "extract_dps", "build_graph", "sccs",
+        "check_criterion", "build_report", "report_to_json"]
     for row in rows:
         old, new, ratio = map(float, row.split()[1:])
         assert old > 0 and new > 0 and ratio > 0

@@ -312,9 +312,10 @@ def test_check_subsumes():
 
 def test_min_type_fgih_node_rule():
     system = load(FGIH_PATH)
-    context, lhs_type = min_type_lhs(system.rules[3], splits_of(system.signature))  # i[node(a,b)] (Node[a,b] x y)
+    context, lhs_type, bound = min_type_lhs(system.rules[3], splits_of(system.signature))  # i[node(a,b)] (Node[a,b] x y)
     assert str(context) == "x : B(a), y : B(b)"
     assert print_type(lhs_type) == "B(node(a,b))"
+    assert bound == {"a", "b"}
     validated = validate_system(system).rules[3]
     assert (validated.context, validated.lhs_type) == (context, lhs_type)
     assert [print_pattern(p) for p in validated.recursive_patterns] == ["node(a,b)"]
@@ -322,30 +323,33 @@ def test_min_type_fgih_node_rule():
 
 def test_min_type_fgih_leaf_rule_gives_wildcard_type():
     system = load(FGIH_PATH)
-    context, lhs_type = min_type_lhs(system.rules[2], splits_of(system.signature))  # g[leaf] Leaf
+    context, lhs_type, bound = min_type_lhs(system.rules[2], splits_of(system.signature))  # g[leaf] Leaf
     assert str(context) == ""
     assert print_type(lhs_type) == "B(_)"
+    assert bound == set()
     assert [print_pattern(p) for p in validate_system(system).rules[2].recursive_patterns] == ["leaf"]
 
 
 def test_min_type_app_leaf_rule_gives_leaf_type():
     system = load(APP_PATH)
-    _, lhs_type = min_type_lhs(system.rules[3], splits_of(system.signature))  # g[leaf] Leaf (app system)
+    _, lhs_type, _ = min_type_lhs(system.rules[3], splits_of(system.signature))  # g[leaf] Leaf (app system)
     assert print_type(lhs_type) == "B(leaf)"
 
 
 def test_min_type_zero_argument_rule():
     system = load(APP_PATH)
-    context, lhs_type = min_type_lhs(system.rules[1], splits_of(system.signature))  # f -> ...
+    context, lhs_type, bound = min_type_lhs(system.rules[1], splits_of(system.signature))  # f -> ...
     assert context == EMPTY_CONTEXT
+    assert bound == set()
     assert print_type(lhs_type) == "B(leaf)"
     assert validate_system(system).rules[1].recursive_patterns == ()
 
 
 def test_min_type_fresh_variables_for_extra_quantifiers():
     system = load(APP_PATH)
-    _, lhs_type = min_type_lhs(system.rules[0], splits_of(system.signature))  # app[a,b] -> ...
+    _, lhs_type, bound = min_type_lhs(system.rules[0], splits_of(system.signature))  # app[a,b] -> ...
     assert print_type(lhs_type) == "(B(a) -> B(b)) -> B(a) -> B(b)"
+    assert bound == {"a", "b"}  # the fresh variables of the non-recursive positions
 
 
 def test_min_type_rejects_forced_pattern_mismatch():
@@ -447,8 +451,9 @@ def test_min_type_accepts_unannotated_constructors():
         "symbol f : forall a. B(a) -> B(leaf) recursive 1;\n"
         "rule f[node(a,b)] (Node x y) -> Leaf;\n"
     )
-    context, _ = min_type_lhs(rule, splits_of(sig))
+    context, _, bound = min_type_lhs(rule, splits_of(sig))
     assert str(context) == "x : B(a), y : B(b)"
+    assert bound == {"a", "b"}
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,12 @@ Each round runs one child process per tree, the old tree first in odd
 rounds and the new one first in even rounds, one process at a time.  A
 child warms up on the first op, then times every stage on every op: the
 best of three calls of `tokenize` and `parse_system` on the text,
-`validate_system` on the parsed system, `check_criterion` on the validated
-one, and `build_report` and `report_to_json` on their results, all called
-as perfbench's check runner calls them.  A round's figure for a stage is
+`validate_system` on the parsed system, the layers of the analysis on
+their own (`extract_dps` on the validated system, `build_graph` on its
+pairs and `sccs` on the graph), `check_criterion`, which runs all of the
+analysis again, on the validated system, and `build_report` and
+`report_to_json` on their results, all called as perfbench's check runner
+calls them.  A round's figure for a stage is
 its total time over the ops divided by their number.  The script prints,
 per stage, the median of these figures over the rounds for each tree, in
 milliseconds per op, and the new/old ratio of the medians.  A child that
@@ -36,8 +39,8 @@ from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
-STAGES = ("tokenize", "parse_system", "validate_system", "check_criterion",
-          "build_report", "report_to_json")
+STAGES = ("tokenize", "parse_system", "validate_system", "extract_dps", "build_graph", "sccs",
+          "check_criterion", "build_report", "report_to_json")
 REPEAT = 3  # calls per stage and op; the fastest counts
 
 
@@ -76,6 +79,9 @@ def time_stages(text: str, syntax, typecheck, analysis, report) -> dict[str, flo
     seconds["validate_system"], validated = best(typecheck.validate_system, system)
     if isinstance(validated, list):
         raise SystemExit(f"error: a workload system is invalid: {validated[0]}")
+    seconds["extract_dps"], dps = best(analysis.extract_dps, validated)
+    seconds["build_graph"], graph = best(analysis.build_graph, dps)
+    seconds["sccs"], _ = best(analysis.sccs, graph)
     seconds["check_criterion"], verdict = best(analysis.check_criterion, validated)
     outcome = "terminating" if verdict.terminating else "unknown"
     seconds["build_report"], doc = best(
