@@ -1,8 +1,9 @@
 """The textual .trs format of pattern-refined tree rewrite systems: the
-tokenizer, which scans one line at a time into plain (kind, text, line,
-col) tuples; the recursive-descent parser, which reads the token kinds
-from a list and each rule's left-hand side straight into its head,
-pattern arguments and constructor terms; and the printers.
+scan, which reads the kinds and texts of all tokens with one regex over the
+whole text; the tokenizer, which alone knows lines and columns and runs only
+when a location or an error is first read; the recursive-descent parser,
+which reads the scan's lists and each rule's left-hand side straight into
+its head, pattern arguments and constructor terms; and the printers.
 
 The abstract syntax they read and write lives in `terms`.
 """
@@ -70,24 +71,24 @@ KEYWORDS = frozenset({"symbol", "rule", "forall", "recursive", "B", "leaf", "nod
 # Keywords, "_" and punctuation are their own kind; other words are "ident".
 _KINDS = {s: s for s in (*KEYWORDS, "_", "->", "/\\", "\\", *"()[],;:.")}
 
+_IDENT, _PUNCT, _NAT = r"[A-Za-z_][A-Za-z0-9_]*", r"[()\[\],;:.]|->|/\\|\\", r"[0-9]+"
 # Blanks, then a token, a comment, any other character (an error), or the
 # end of the line.  The lines come from splitting at "\n" only.
-_TOKEN_RE = re.compile(
-    r"""\s*(?: (?P<ident>[A-Za-z_][A-Za-z0-9_]*) | (?P<punct>[()\[\],;:.]|->|/\\|\\)
-             | (?P<nat>[0-9]+) | \#.* | (?P<other>.) | \Z)
-    """,
-    re.VERBOSE,
-)
+_LINE_RE = re.compile(
+    rf"\s*(?:(?P<ident>{_IDENT})|(?P<punct>{_PUNCT})|(?P<nat>{_NAT})|#.*|(?P<other>.)|\Z)")
+# Blanks and comments, then a token, any other character, or the end of the
+# text, which a trailing run of blanks reaches in one match.
+_SCAN_RE = re.compile(rf"\s*(?:#.*\s*)*({_IDENT}|{_PUNCT}|{_NAT}|\S|\Z)")
 
 Token = tuple[str, str, int, int]  # kind, text, line, column
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    append, kind_of, scan = tokens.append, _KINDS.get, _TOKEN_RE.finditer
+    append, kind_of, scan_line = tokens.append, _KINDS.get, _LINE_RE.finditer
     lines = text.split("\n")
     for line, chars in enumerate(lines, 1):
-        for m in scan(chars):
+        for m in scan_line(chars):
             group = m.lastgroup
             if group is None:  # a comment or the end of the line
                 break
@@ -97,6 +98,19 @@ def tokenize(text: str) -> list[Token]:
             append((kind_of(value, group), value, line, m.start(group) + 1))
     append(("eof", "", len(lines), len(lines[-1]) + 1))
     return tokens
+
+
+def scan(text: str) -> tuple[list[str], list[str]]:
+    """The kinds and the texts of the tokens `tokenize` reads, without their
+    positions.  Each distinct text is classified once.  A character that
+    starts no token raises `tokenize`'s ParseError."""
+    texts = _SCAN_RE.findall(text)
+    if texts[-2:] == ["", ""]:  # trailing blanks reach the end, then the end matches again
+        texts.pop()
+    kinds = {t: _KINDS.get(t) or _LINE_RE.match(t).lastgroup or "eof" for t in set(texts)}
+    if "other" in kinds.values():
+        tokenize(text)
+    return list(map(kinds.__getitem__, texts)), texts
 
 
 # ---------------------------------------------------------------------------
@@ -111,31 +125,33 @@ _ARGUMENT_ERROR = ("rule left-hand side arguments must be constructor terms "
 
 
 class _Parser:
-    """Reads `tokens` from position `i`; `kinds` holds their kinds, in order."""
+    """Reads the scanned `kinds` and `texts` of a text from position `i`;
+    `table` is the position table that its locations share (see `Loc`)."""
 
-    def __init__(self, tokens: list[Token], symbols: frozenset[str]):
-        self.tokens = tokens
-        self.kinds = [tok[0] for tok in tokens]
+    def __init__(self, text: str, symbols: frozenset[str]):
+        self.kinds, self.texts = scan(text)
+        self.table = [lambda: [tok[2:] for tok in tokenize(text)]]
         self.symbols = symbols
         self.i = 0
 
-    def expect(self, kind: str) -> Token:
-        tok = self.tokens[self.i]
-        if tok[0] != kind:
-            raise ParseError(f"unexpected {tok[1] or 'end of input'!r}", tok[2], tok[3], (kind,))
-        self.i += 1
-        return tok
+    def expect(self, kind: str) -> str:
+        i = self.i
+        if self.kinds[i] != kind:
+            raise self.fail(f"unexpected {self.texts[i] or 'end of input'!r}", (kind,))
+        self.i = i + 1
+        return self.texts[i]
 
-    def fail(self, message: str, expected: tuple[str, ...] = ()) -> ParseError:
-        tok = self.tokens[self.i]
-        return ParseError(message, tok[2], tok[3], expected)
+    def fail(self, message: str, expected: tuple[str, ...] = (),
+             at: int | None = None) -> ParseError:  # at the current token by default
+        line, col = Loc((self.table, self.i if at is None else at)).position()
+        return ParseError(message, line, col, expected)
 
     # -- patterns
 
     def pattern(self) -> Pattern:
         kind = self.kinds[self.i]
         if kind == "ident":
-            name = self.tokens[self.i][1]
+            name = self.texts[self.i]
             self.i += 1
             return PVar(name)
         if kind == "leaf":
@@ -171,9 +187,9 @@ class _Parser:
     def type_(self) -> RefinementType:
         if self.kinds[self.i] == "forall":
             self.i += 1
-            binders = [self.expect("ident")[1]]
+            binders = [self.expect("ident")]
             while self.kinds[self.i] == "ident":
-                binders.append(self.tokens[self.i][1])
+                binders.append(self.texts[self.i])
                 self.i += 1
             self.expect(".")
             body = self.type_()
@@ -204,19 +220,20 @@ class _Parser:
     # -- terms
 
     def term(self) -> AnnotatedTerm:
-        tok = self.tokens[self.i]
-        if tok[0] == "\\":
-            self.i += 1
-            binder = self.expect("ident")[1]
+        i = self.i
+        kind = self.kinds[i]
+        if kind == "\\":
+            self.i = i + 1
+            binder = self.expect("ident")
             self.expect(":")
             annot = self.type_()
             self.expect(".")
-            return Lam(binder, annot, self.term(), Loc(tok[2], tok[3]))
-        if tok[0] == "/\\":
-            self.i += 1
-            binder = self.expect("ident")[1]
+            return Lam(binder, annot, self.term(), Loc((self.table, i)))
+        if kind == "/\\":
+            self.i = i + 1
+            binder = self.expect("ident")
             self.expect(".")
-            return PatLam(binder, self.term(), Loc(tok[2], tok[3]))
+            return PatLam(binder, self.term(), Loc((self.table, i)))
         return self.app()
 
     def app(self) -> AnnotatedTerm:
@@ -224,32 +241,32 @@ class _Parser:
         while True:
             kind = self.kinds[self.i]
             if kind in _ATOM_STARTERS:
-                tok = self.tokens[self.i]
-                t = App(t, self.atom(), Loc(tok[2], tok[3]))
+                loc = Loc((self.table, self.i))
+                t = App(t, self.atom(), loc)
             elif kind == "[":
-                tok = self.tokens[self.i]
-                loc = Loc(tok[2], tok[3])
+                loc = Loc((self.table, self.i))
                 for p in self.pattern_group():
                     t = PatApp(t, p, loc)
             else:
                 return t
 
     def atom(self) -> AnnotatedTerm:
-        tok = self.tokens[self.i]
-        kind = tok[0]
+        i = self.i
+        kind = self.kinds[i]
         if kind == "ident":
-            self.i += 1
-            if tok[1] in self.symbols:
-                return SymbolRef(tok[1], Loc(tok[2], tok[3]))
-            return TermVar(tok[1], Loc(tok[2], tok[3]))
+            self.i = i + 1
+            name = self.texts[i]
+            if name in self.symbols:
+                return SymbolRef(name, Loc((self.table, i)))
+            return TermVar(name, Loc((self.table, i)))
         if kind == "Leaf":
-            self.i += 1
-            return LeafCon(Loc(tok[2], tok[3]))
+            self.i = i + 1
+            return LeafCon(Loc((self.table, i)))
         if kind == "Node":
-            self.i += 1
-            return NodeCon(Loc(tok[2], tok[3]))
+            self.i = i + 1
+            return NodeCon(Loc((self.table, i)))
         if kind == "(":
-            self.i += 1
+            self.i = i + 1
             t = self.term()
             self.expect(")")
             return t
@@ -260,7 +277,7 @@ class _Parser:
     def erased_term(self) -> ErasedTerm:
         if self.kinds[self.i] == "\\":
             self.i += 1
-            binder = self.expect("ident")[1]
+            binder = self.expect("ident")
             self.expect(".")
             return ELam(binder, self.erased_term())
         t = self.erased_atom()
@@ -269,7 +286,7 @@ class _Parser:
         return t
 
     def erased_atom(self) -> ErasedTerm:
-        kind, text, _, _ = self.tokens[self.i]
+        kind, text = self.kinds[self.i], self.texts[self.i]
         if kind == "ident":
             self.i += 1
             if text in self.symbols:
@@ -290,20 +307,21 @@ class _Parser:
 
     # -- rule left-hand sides
 
-    def spine(self, error: str, argument: bool) -> tuple[Token, list[Pattern], list[ConstructorTerm]]:
+    def spine(self, error: str, argument: bool) -> tuple[int, list[Pattern], list[ConstructorTerm]]:
         """Read a head token, its pattern groups and then its constructor
-        arguments.  Parentheses may wrap any prefix, as in terms; an
-        `argument` is one token or one parenthesized spine.  A lambda head or
-        a pattern group after an argument raises `error` at the head."""
+        arguments, and return the head's index with them.  Parentheses may
+        wrap any prefix, as in terms; an `argument` is one token or one
+        parenthesized spine.  A lambda head or a pattern group after an
+        argument raises `error` at the head."""
         kinds = self.kinds
         opened = 0
         while kinds[self.i] == "(":
             self.i += 1
             opened += 1
-        head = self.tokens[self.i]
-        if head[0] in ("\\", "/\\"):
-            raise ParseError(error, head[2], head[3])
-        if head[0] not in _ATOM_STARTERS:
+        head = self.i
+        if kinds[head] in ("\\", "/\\"):
+            raise self.fail(error, at=head)
+        if kinds[head] not in _ATOM_STARTERS:
             raise self.fail("expected a term", _TERM_EXPECTED)
         self.i += 1
         pats: list[Pattern] = []
@@ -312,10 +330,10 @@ class _Parser:
             kind = kinds[self.i]
             if kind == "[":
                 if args:
-                    raise ParseError(error, head[2], head[3])
+                    raise self.fail(error, at=head)
                 pats += self.pattern_group()
             elif kind == "ident" or kind == "Leaf":  # a one-token argument
-                args.append(self.constructor(self.tokens[self.i], [], []))
+                args.append(self.constructor(self.i, [], []))
                 self.i += 1
             elif kind in _ATOM_STARTERS:
                 args.append(self.constructor(*self.spine(_ARGUMENT_ERROR, True)))
@@ -328,52 +346,55 @@ class _Parser:
             self.expect(")")
         return head, pats, args
 
-    def constructor(self, head: Token, pats: list[Pattern],
+    def constructor(self, head: int, pats: list[Pattern],
                     args: list[ConstructorTerm]) -> ConstructorTerm:
-        kind, text, line, col = head
+        kind, text = self.kinds[head], self.texts[head]
         if kind == "Node" and len(pats) in (0, 2) and len(args) == 2:
             return ConNode(*(pats or (None, None)), *args)
         if kind == "Leaf" and not (pats or args):
             return ConLeaf()
         if kind == "ident" and not (pats or args) and text not in self.symbols:
             return ConVar(text)
-        raise ParseError(_ARGUMENT_ERROR, line, col)
+        raise self.fail(_ARGUMENT_ERROR, at=head)
 
     # -- declarations
 
     def symbol_decl(self) -> tuple[str, SymbolInfo]:
-        start = self.expect("symbol")
-        name = self.expect("ident")[1]
+        loc = Loc((self.table, self.i))
+        self.expect("symbol")
+        name = self.expect("ident")
         self.expect(":")
         ty = self.type_()
         self.expect("recursive")
-        _, digits, line, col = self.expect("nat")
+        at = self.i
+        digits = self.expect("nat")
         self.expect(";")
         try:
             count = int(digits)
         except ValueError:  # more digits than sys.get_int_max_str_digits() allows
-            raise ParseError("recursive count has too many digits", line, col) from None
-        return name, SymbolInfo(ty, count, Loc(start[2], start[3]))
+            raise self.fail("recursive count has too many digits", at=at) from None
+        return name, SymbolInfo(ty, count, loc)
 
     def rule_decl(self) -> RewriteRule:
-        start = self.expect("rule")
+        loc = Loc((self.table, self.i))
+        self.expect("rule")
         head, pats, args = self.spine(_LHS_ERROR, False)
-        if head[0] != "ident":
-            raise ParseError(_LHS_ERROR, head[2], head[3])
+        if self.kinds[head] != "ident":
+            raise self.fail(_LHS_ERROR, at=head)
         self.expect("->")
         rhs = self.term()
         self.expect(";")
-        return RewriteRule(head[1], tuple(pats), tuple(args), rhs, Loc(start[2], start[3]))
+        return RewriteRule(self.texts[head], tuple(pats), tuple(args), rhs, loc)
 
     def system(self) -> RewriteSystem:
         symbols: dict[str, SymbolInfo] = {}
         rules: list[RewriteRule] = []
         while (kind := self.kinds[self.i]) != "eof":
             if kind == "symbol":
-                _, _, line, col = self.tokens[self.i]
+                start = self.i
                 name, info = self.symbol_decl()
                 if name in symbols:
-                    raise ParseError(f"symbol {name!r} declared twice", line, col)
+                    raise self.fail(f"symbol {name!r} declared twice", at=start)
                 symbols[name] = info
             elif kind == "rule":
                 rules.append(self.rule_decl())
@@ -389,21 +410,21 @@ def parse_system(text: str) -> RewriteSystem:
     name is declared anywhere in the file, and to term variables otherwise.
     Arity and typing problems are left to validation.
     """
-    parser = _Parser(tokenize(text), frozenset())
-    kinds, tokens = parser.kinds, parser.tokens
+    parser = _Parser(text, frozenset())
+    kinds, texts = parser.kinds, parser.texts
     declared = set()
     i = 0
     for _ in range(kinds.count("symbol")):  # the last token is `eof`, never `symbol`
         i = kinds.index("symbol", i) + 1
         if kinds[i] == "ident":
-            declared.add(tokens[i][1])
+            declared.add(texts[i])
     parser.symbols = frozenset(declared)
     return parser.system()
 
 
 def _read_all(text: str, read: Callable[[_Parser], T], symbols: frozenset[str] = frozenset()) -> T:
     """Parse all of `text` with the `_Parser` method `read`."""
-    parser = _Parser(tokenize(text), symbols)
+    parser = _Parser(text, symbols)
     result = read(parser)
     parser.expect("eof")
     return result

@@ -142,11 +142,38 @@ def _make_init(cls: type, defaults: dict, hashed: bool):
     return init
 
 
-class Loc(Record):
-    __slots__ = ("line", "col")
+class Loc(tuple):
+    """The source location of token `index` of one parse, built as
+    `Loc((table, index))`: a tuple, so that the parser builds it without a
+    Python call.  All locations of a parse share `table`: until one of them
+    is read it holds a function that works out the (line, col) of every
+    token, and then those pairs.  Equality and hashing go by line and
+    column."""
+
+    __slots__ = ()
+
+    def position(self) -> tuple[int, int]:
+        table, index = self
+        if callable(table[0]):
+            table[:] = table[0]()
+        return table[index]
+
+    line = property(lambda self: self.position()[0])
+    col = property(lambda self: self.position()[1])
+
+    def __eq__(self, other: object) -> bool:
+        return self.position() == other.position() if type(other) is Loc else NotImplemented
+
+    def __ne__(self, other: object) -> bool:
+        return self.position() != other.position() if type(other) is Loc else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.position())
 
     def __str__(self) -> str:
-        return f"{self.line}:{self.col}"
+        return "%d:%d" % self.position()
+
+    __repr__ = __str__
 
 
 # ---------------------------------------------------------------------------

@@ -107,10 +107,15 @@ def test_check_invalid(capsys):
 
 
 # Every diagnostic line `check` prints for systems/invalid/<name>.trs; each
-# file shows the code named by its file name, in every wording it has.
+# file shows the code named by its file name up to the first dot, in every
+# wording it has.  `arg-type.blanks` has CRLF line ends, and a comment line,
+# a tab and a form feed before the error.
 INVALID_DIAGNOSTICS = {
     "arg-type": (
         "E-ARG-TYPE: argument 'x' has type B(a), which is not a subtype of B(leaf) at 6:18",
+    ),
+    "arg-type.blanks": (
+        "E-ARG-TYPE: argument 'x' has type B(a), which is not a subtype of B(leaf) at 6:19",
     ),
     "expected-function": (
         "E-EXPECTED-FUNCTION: term 'x' of type B(a) is applied to an argument but has no "
@@ -202,7 +207,7 @@ def test_check_invalid_system_output(capsys, name):
     assert (code, err) == (2, "")
     lines = INVALID_DIAGNOSTICS[name]
     assert out == "".join(f"{line}\n" for line in (f"INVALID: {path}", *(f"  {l}" for l in lines)))
-    assert all(line.startswith(f"E-{name.upper()}: ") for line in lines)
+    assert all(line.startswith(f"E-{name.split('.')[0].upper()}: ") for line in lines)
 
 
 def test_check_missing_file(capsys, tmp_path):
@@ -235,8 +240,11 @@ def test_byte_order_mark_is_skipped(capsys, tmp_path):
 
 
 # What `check` prints after the path for systems/parse/<name>.trs: one file
-# per parse error message.
+# per parse error message, and two `blanks-before-*` files with CRLF line
+# ends, and a comment line, a tab and a form feed before the error.
 PARSE_ERRORS = {
+    "blanks-before-character": "5:18: unexpected character '&'",
+    "blanks-before-term": "5:17: expected a term (expected ident, Leaf, Node, ()",
     "declared-twice": "4:1: symbol 'f' declared twice",
     "expected-declaration": "5:1: expected a declaration (expected symbol, rule)",
     "expected-pattern": "3:14: expected a pattern (expected ident, leaf, node, bot, _)",

@@ -28,6 +28,7 @@ from treeterm.syntax import (
     print_rule,
     print_system,
     print_type,
+    scan,
     tokenize,
 )
 from treeterm.terms import (
@@ -258,6 +259,26 @@ def tokenize_outcome(tokenize_text, text: str):
 @settings(max_examples=500)
 def test_tokenize_agrees_with_reference(text):
     assert tokenize_outcome(tokenize, text) == tokenize_outcome(reference_tokenize, text)
+
+
+def scan_tokens(text: str) -> list[tuple[str, str]]:
+    return list(zip(*scan(text)))
+
+
+@given(st.lists(st.sampled_from(TEXT_FRAGMENTS), max_size=40).map("".join))
+@example("")
+@example("  \n\t")
+@example("f # c\n  ")
+@example("# only a comment\x85\r\nf\u2028 g")
+@example("f\n\x0c$")
+@settings(max_examples=500)
+def test_scan_agrees_with_tokenize(text):
+    # the parser's scan reads the same (kind, text) tokens, or fails with the
+    # same ParseError, message and position
+    expected = tokenize_outcome(tokenize, text)
+    if isinstance(expected, list):
+        expected = [tok[:2] for tok in expected]
+    assert tokenize_outcome(scan_tokens, text) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -44,8 +44,9 @@ def example(cls: type) -> Record:
 
 def test_every_record_class_is_listed():
     # the 40 classes that were dataclasses, plus EApp and ELam, less the
-    # tokenizer's Token, which became a plain tuple
-    assert len(RECORDS) == 41
+    # tokenizer's Token, which became a plain tuple, and Loc, which holds a
+    # parse's shared position table and a token index
+    assert len(RECORDS) == 40
     assert {cls.__module__ for cls in RECORDS} == {
         f"treeterm.{m}" for m in ("analysis", "rewrite", "terms", "typecheck")
     }
@@ -67,9 +68,30 @@ def test_equality_needs_the_same_class():
     assert PLeaf() != PWild()
 
 
+def test_locations_are_slotted_and_immutable():
+    loc = Loc(([(1, 2), (3, 4)], 1))
+    assert not hasattr(loc, "__dict__")
+    for name in ("line", "col", "other"):
+        with pytest.raises(AttributeError):
+            setattr(loc, name, None)
+    assert (loc.line, loc.col, str(loc)) == (3, 4, "3:4")
+    assert loc == Loc(([(3, 4)], 0)) != Loc(([(3, 5)], 0))
+    assert not loc != Loc(([(3, 4)], 0))
+    assert hash(loc) == hash(Loc(([(3, 4)], 0)))
+
+
+def test_locations_work_out_their_table_once():
+    calls = []
+    table = [lambda: calls.append(1) or [(1, 1), (2, 5)]]
+    first, second = Loc((table, 0)), Loc((table, 1))
+    assert calls == []
+    assert (str(second), str(first), second.col) == ("2:5", "1:1", 5)
+    assert calls == [1]
+
+
 def test_locations_do_not_count():
-    a = TermVar("x", loc=Loc(1, 1))
-    b = TermVar("x", loc=Loc(2, 2))
+    a = TermVar("x", loc=Loc(([(1, 1)], 0)))
+    b = TermVar("x", loc=Loc(([(2, 2)], 0)))
     assert a == b
     assert hash(a) == hash(b)
     assert repr(a) == "TermVar(name='x')"

@@ -1,6 +1,8 @@
 """Parser, printer, erasure, and substitution behavior."""
 from __future__ import annotations
 
+import signal
+
 import pytest
 
 from treeterm import syntax
@@ -17,6 +19,7 @@ from treeterm.syntax import (
     print_system,
     print_term,
     print_type,
+    scan,
     tokenize,
 )
 from treeterm.terms import (
@@ -57,6 +60,7 @@ from treeterm.terms import (
     type_free_vars,
     type_subst,
 )
+from treeterm.typecheck import validate_system
 from conftest import FGIH_PATH, load
 from helpers import (
     alpha_eq_erased,
@@ -344,6 +348,70 @@ def test_lhs_builds_no_annotated_terms(monkeypatch):
     built.clear()
     parse_system(ring_text(50))
     assert built == []
+
+
+def counted_tokenize(monkeypatch) -> list[str]:
+    """The texts `syntax.tokenize` is called on from now on."""
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(syntax, "tokenize", counting)
+    return calls
+
+
+def test_a_valid_parse_works_out_no_position(monkeypatch):
+    calls = counted_tokenize(monkeypatch)
+    with pytest.raises(ParseError):
+        parse_system("rule f -> ;")
+    assert len(calls) == 1  # the count sees the parser's position table
+    calls.clear()
+    parse_system(ring_text(50))
+    parse_system(FGIH_PATH.read_text())  # opens with comment lines
+    assert calls == []
+
+
+def test_locations_are_worked_out_once_when_one_is_read(monkeypatch):
+    calls = counted_tokenize(monkeypatch)
+    path = FGIH_PATH.parent / "invalid" / "arg-type.blanks.trs"
+    system = parse_system(path.read_bytes().decode())  # keeps the CRLF line ends
+    assert calls == []
+    diags = validate_system(system)
+    # the positions that parsing into (line, col) tokens gave (CRLF, a tab
+    # and a form feed come before the argument)
+    assert [str(d.loc) for d in diags] == ["6:19"]
+    assert [str(r.loc) for r in system.rules] == ["6:1"]
+    assert [(i.loc.line, i.loc.col) for _, i in system.signature] == [(3, 1), (4, 1)]
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("text", [
+    "symbol f : B(leaf) recursive 0;" + " " * 10**6,
+    " " * 10**6 + "symbol f : B(leaf) recursive 0;",
+    "symbol f : B(leaf) recursive 0;\n#" + "x" * 10**6,
+    "# c\n" * 10**5 + "symbol f : B(leaf) recursive 0;",
+    "\n" * 10**6 + "symbol f : B(leaf) recursive 0;",
+], ids=["trailing-blanks", "leading-blanks", "long-comment", "comment-lines", "newlines"])
+@pytest.mark.parametrize("tail", ["", "\nrule", " $"],
+                         ids=["valid", "parse-error", "bad-character"])
+def test_scanning_is_linear_in_blanks_and_comments(text, tail):
+    # a token regex without an end-of-text alternative retries a trailing
+    # run of blanks from each of its positions: 18 s for 32,000 blanks.  The
+    # alarm stops a parse that takes longer than a second.
+    def too_slow(signum, frame):
+        raise TimeoutError("parsing took more than 1 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        parse_system(text + tail)
+    except ParseError:
+        assert tail
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_tokenize_positions():

@@ -68,8 +68,14 @@ def test_time_stages_times_every_stage_of_one_tree_on_both_sides(capsys):
     assert title == "wide seed 1, 3 ops, 2 rounds: median ms per op"
     assert header.split() == ["stage", "old", "new", "new/old"]
     assert [row.split()[0] for row in rows] == [
-        "tokenize", "parse_system", "validate_system", "extract_dps", "build_graph", "sccs",
+        "scan", "parse_system", "validate_system", "extract_dps", "build_graph", "sccs",
         "check_criterion", "build_report", "report_to_json"]
     for row in rows:
         old, new, ratio = map(float, row.split()[1:])
         assert old > 0 and new > 0 and ratio > 0
+
+
+def test_time_stages_prints_a_dash_for_a_stage_a_tree_does_not_have():
+    time_stages = load_tool("time_stages")
+    assert time_stages.row("scan", None, 0.5).split() == ["scan", "-", "0.500", "-"]
+    assert time_stages.row("sccs", 0.25, 0.5).split() == ["sccs", "0.250", "0.500", "2.00"]

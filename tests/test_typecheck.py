@@ -12,7 +12,7 @@ from treeterm.syntax import (
     print_pattern,
     print_type,
 )
-from treeterm.terms import Base, Loc, PVar
+from treeterm.terms import Base, PVar
 from treeterm.typecheck import (
     ABSENT,
     BOTH,
@@ -443,7 +443,8 @@ def test_min_type_rejects_undeclared_head_at_the_rule():
     with pytest.raises(TypeCheckError) as err:
         min_type_lhs(rule, splits_of(sig))
     assert err.value.code == "E-UNDECLARED-SYMBOL"
-    assert err.value.loc == rule.loc == Loc(2, 1)
+    assert err.value.loc is rule.loc
+    assert (rule.loc.line, rule.loc.col) == (2, 1)
 
 
 def test_min_type_accepts_unannotated_constructors():

@@ -14,7 +14,8 @@ the one system `ring_text(800)` instead.
 Each round runs one child process per tree, the old tree first in odd
 rounds and the new one first in even rounds, one process at a time.  A
 child warms up on the first op, then times every stage on every op: the
-best of three calls of `tokenize` and `parse_system` on the text,
+best of three calls of `scan`, the token scan that `parse_system` runs
+first, and of `parse_system` on the text,
 `validate_system` on the parsed system, the layers of the analysis on
 their own (`extract_dps` on the validated system, `build_graph` on its
 pairs and `sccs` on the graph), `check_criterion`, which runs all of the
@@ -23,8 +24,9 @@ analysis again, on the validated system, and `build_report` and
 calls them.  A round's figure for a stage is its total time over the ops
 divided by their number.  The script prints, per stage, the median of
 these figures over the rounds for each tree, in milliseconds per op, and
-the new/old ratio of the medians.  A child that fails stops the script
-with exit 2.
+the new/old ratio of the medians.  A stage that a tree does not have, such
+as `scan` before that function existed, prints `-`.  A child that fails
+stops the script with exit 2.
 """
 from __future__ import annotations
 
@@ -39,7 +41,7 @@ from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
-STAGES = ("tokenize", "parse_system", "validate_system", "extract_dps", "build_graph", "sccs",
+STAGES = ("scan", "parse_system", "validate_system", "extract_dps", "build_graph", "sccs",
           "check_criterion", "build_report", "report_to_json")
 REPEAT = 3  # calls per stage and op; the fastest counts
 
@@ -74,7 +76,8 @@ def best(call, *args):
 
 def time_stages(text: str, syntax, typecheck, analysis, report) -> dict[str, float]:
     seconds = {}
-    seconds["tokenize"], _ = best(syntax.tokenize, text)
+    if hasattr(syntax, "scan"):
+        seconds["scan"], _ = best(syntax.scan, text)
     seconds["parse_system"], system = best(syntax.parse_system, text)
     seconds["validate_system"], validated = best(typecheck.validate_system, system)
     if isinstance(validated, list):
@@ -98,10 +101,10 @@ def child(src: str, workload: str, seed: int, ops: int | None) -> None:
 
     op_texts = texts(workload, seed, ops)
     time_stages(op_texts[0], syntax, typecheck, analysis, report)
-    totals = dict.fromkeys(STAGES, 0.0)
+    totals: dict[str, float] = {}
     for text in op_texts:
         for stage, seconds in time_stages(text, syntax, typecheck, analysis, report).items():
-            totals[stage] += seconds
+            totals[stage] = totals.get(stage, 0.0) + seconds
     print(json.dumps({stage: total / len(op_texts) for stage, total in totals.items()}))
 
 
@@ -116,6 +119,14 @@ def run_child(src: Path, args: argparse.Namespace) -> dict[str, float]:
               file=sys.stderr)
         raise SystemExit(2)
     return json.loads(done.stdout)
+
+
+def row(stage: str, old: float | None, new: float | None) -> str:
+    """One line of the table: a stage's old and new ms per op and their
+    ratio, with `-` for a stage that a tree does not have."""
+    cells = ["-" if ms is None else f"{ms:.3f}" for ms in (old, new)]
+    cells.append("-" if old is None or new is None else f"{new / old:.2f}")
+    return f"{stage:<16}" + "".join(f"{cell:>10}" for cell in cells)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -149,9 +160,8 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{title}, {args.rounds} rounds: median ms per op")
     print(f"{'stage':<16}{'old':>10}{'new':>10}{'new/old':>10}")
     for stage in STAGES:
-        old, new = (statistics.median(f[stage] for f in figures[side]) * 1e3
-                    for side in ("old", "new"))
-        print(f"{stage:<16}{old:>10.3f}{new:>10.3f}{new / old:>10.2f}")
+        print(row(stage, *(statistics.median(f[stage] for f in figures[side]) * 1e3
+                           if stage in figures[side][0] else None for side in ("old", "new"))))
     return 0
 
 
