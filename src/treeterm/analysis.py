@@ -16,8 +16,6 @@ from itertools import chain
 from .terms import Pattern, PNode, PVar, PWild, Record, pattern_subst
 from .typecheck import ValidatedSystem
 
-_set = object.__setattr__
-
 
 # ---------------------------------------------------------------------------
 # Dependency pairs
@@ -92,22 +90,15 @@ def pattern_unifiable(p: Pattern, q: Pattern) -> bool:
 # ---------------------------------------------------------------------------
 # Dependency graph
 
-class DependencyGraph(Record, derived=("adjacency",)):
-    """The pairs and their edges; `adjacency` lists the sorted successors of
-    every node, and is derived from `edges` unless given."""
+class DependencyGraph(Record):
+    """The pairs, and the sorted successors of every pair; `edges` is the
+    set of (i, j) pairs that `adjacency` lists, built when read."""
 
-    __slots__ = ("nodes", "edges", "adjacency")
+    __slots__ = ("nodes", "adjacency")
 
-    def __init__(self, nodes: tuple[DependencyPair, ...], edges: frozenset[tuple[int, int]],
-                 adjacency: tuple[tuple[int, ...], ...] | None = None):
-        if adjacency is None:
-            succ: list[list[int]] = [[] for _ in nodes]
-            for a, b in edges:
-                succ[a].append(b)
-            adjacency = tuple(tuple(sorted(s)) for s in succ)
-        _set(self, "nodes", nodes)
-        _set(self, "edges", edges)
-        _set(self, "adjacency", adjacency)
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset((i, j) for i, succ in enumerate(self.adjacency) for j in succ)
 
 
 def build_graph(dps: tuple[DependencyPair, ...]) -> DependencyGraph:
@@ -136,8 +127,7 @@ def build_graph(dps: tuple[DependencyPair, ...]) -> DependencyGraph:
             if all(map(pattern_unifiable, a.rhs_args, args)):
                 found.append(members)
         adjacency.append(found[0] if len(found) == 1 else tuple(sorted(chain.from_iterable(found))))
-    edges = frozenset([(i, j) for i, succ in enumerate(adjacency) for j in succ])
-    return DependencyGraph(dps, edges, tuple(adjacency))
+    return DependencyGraph(dps, tuple(adjacency))
 
 
 def sccs(g: DependencyGraph) -> list[tuple[int, ...]]:
@@ -197,7 +187,7 @@ def is_nontrivial(scc: tuple[int, ...], g: DependencyGraph) -> bool:
     if len(scc) > 1:
         return True
     (v,) = scc
-    return (v, v) in g.edges
+    return v in g.adjacency[v]
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +317,7 @@ def check_scc(
             weak.append(i)
         else:
             return result(failing_node=i)
-    # Only the weak nodes' successors are read: scanning all of g.edges here
+    # Only the weak nodes' successors are read: scanning every edge here
     # would cost O(E) per component and candidate assignment.
     return result(cycle=find_cycle(weak, g.adjacency))
 

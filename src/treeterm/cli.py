@@ -72,11 +72,12 @@ def _positive_int(text: str) -> int:
 
 
 def _load(path: str, say=print) -> RewriteSystem | ParseError | None:
-    """Read and parse a system file, skipping a UTF-8 byte-order mark.  A
-    file that cannot be read or is not UTF-8 is reported on stderr and gives
-    None; a parse error is reported with `say` and returned."""
+    """Read and parse a system file, skipping a UTF-8 byte-order mark and
+    translating no line ends, as `parse_system` reads them.  A file that
+    cannot be read or is not UTF-8 is reported on stderr and gives None; a
+    parse error is reported with `say` and returned."""
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
+        text = Path(path).read_bytes().decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return None
@@ -152,7 +153,8 @@ def cmd_graph(args: argparse.Namespace) -> int:
     dot = to_dot(verdict)
     if args.dot:
         _write(args.dot, dot)
-        print(f"wrote DOT to {args.dot} ({len(verdict.graph.nodes)} nodes, {len(verdict.graph.edges)} edges)")
+        graph = verdict.graph
+        print(f"wrote DOT to {args.dot} ({len(graph.nodes)} nodes, {sum(map(len, graph.adjacency))} edges)")
     else:
         sys.stdout.write(dot)
     if args.png:

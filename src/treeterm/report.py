@@ -81,7 +81,7 @@ def verdict_lines(path: str, system: RewriteSystem, verdict: Verdict) -> list[st
     lines = [
         ("TERMINATING: " if verdict.terminating else "UNKNOWN: ") + path,
         f"  rules: {len(system.rules)}, symbols: {len(system.signature.entries)}",
-        f"  dependency pairs: {len(graph.nodes)}, edges: {len(graph.edges)}",
+        f"  dependency pairs: {len(graph.nodes)}, edges: {sum(map(len, graph.adjacency))}",
         f"  nontrivial SCCs: {sum(is_nontrivial(c, graph) for c in verdict.components)}",
     ]
     for cert in verdict.certificates:

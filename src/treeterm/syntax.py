@@ -1,15 +1,16 @@
 """The textual .trs format of pattern-refined tree rewrite systems: the
 scan, which reads the kinds and texts of all tokens with one regex over the
-whole text; the tokenizer, which alone knows lines and columns and runs only
-when a location or an error is first read; the recursive-descent parser,
-which reads the scan's lists and each rule's left-hand side straight into
-its head, pattern arguments and constructor terms; and the printers.
+whole text; the tokenizer, which alone knows lines and columns and runs the
+same regex over each line once a location or an error is first read; the
+recursive-descent parser, which reads the scan's lists and each rule's
+left-hand side into its head, patterns and constructor terms; and the printers.
 
 The abstract syntax they read and write lives in `terms`.
 """
 from __future__ import annotations
 
 import re
+import string
 from typing import Callable, TypeVar
 
 from .terms import (
@@ -68,14 +69,14 @@ class ParseError(Exception):
 
 KEYWORDS = frozenset({"symbol", "rule", "forall", "recursive", "B", "leaf", "node", "bot",
                       "Leaf", "Node"})
-# Keywords, "_" and punctuation are their own kind; other words are "ident".
+# Keywords, "_" and punctuation are their own kind.  Any other text that the
+# scan reads is a word, a number, the end of the text, or a character that
+# starts no token ("other"), by its first character.
 _KINDS = {s: s for s in (*KEYWORDS, "_", "->", "/\\", "\\", *"()[],;:.")}
+_FIRST_KINDS = {**dict.fromkeys(string.ascii_letters + "_", "ident"),
+                **dict.fromkeys(string.digits, "nat"), "": "eof"}
 
 _IDENT, _PUNCT, _NAT = r"[A-Za-z_][A-Za-z0-9_]*", r"[()\[\],;:.]|->|/\\|\\", r"[0-9]+"
-# Blanks, then a token, a comment, any other character (an error), or the
-# end of the line.  The lines come from splitting at "\n" only.
-_LINE_RE = re.compile(
-    rf"\s*(?:(?P<ident>{_IDENT})|(?P<punct>{_PUNCT})|(?P<nat>{_NAT})|#.*|(?P<other>.)|\Z)")
 # Blanks and comments, then a token, any other character, or the end of the
 # text, which a trailing run of blanks reaches in one match.
 _SCAN_RE = re.compile(rf"\s*(?:#.*\s*)*({_IDENT}|{_PUNCT}|{_NAT}|\S|\Z)")
@@ -83,19 +84,25 @@ _SCAN_RE = re.compile(rf"\s*(?:#.*\s*)*({_IDENT}|{_PUNCT}|{_NAT}|\S|\Z)")
 Token = tuple[str, str, int, int]  # kind, text, line, column
 
 
+def _kind(text: str) -> str:
+    return _KINDS.get(text) or _FIRST_KINDS.get(text[:1], "other")
+
+
 def tokenize(text: str) -> list[Token]:
+    """The tokens of text with their lines and columns.  Only "\\n" ends a
+    line, and `_SCAN_RE` reads each line, where "\\r" is a blank."""
     tokens: list[Token] = []
-    append, kind_of, scan_line = tokens.append, _KINDS.get, _LINE_RE.finditer
+    append, kinds, scan_line = tokens.append, {}, _SCAN_RE.finditer
     lines = text.split("\n")
     for line, chars in enumerate(lines, 1):
         for m in scan_line(chars):
-            group = m.lastgroup
-            if group is None:  # a comment or the end of the line
+            value = m[1]
+            if not value:  # the end of the line
                 break
-            value = m[group]
-            if group == "other":
-                raise ParseError(f"unexpected character {value!r}", line, m.start(group) + 1)
-            append((kind_of(value, group), value, line, m.start(group) + 1))
+            kind = kinds.get(value) or kinds.setdefault(value, _kind(value))
+            if kind == "other":
+                raise ParseError(f"unexpected character {value!r}", line, m.start(1) + 1)
+            append((kind, value, line, m.start(1) + 1))
     append(("eof", "", len(lines), len(lines[-1]) + 1))
     return tokens
 
@@ -107,7 +114,7 @@ def scan(text: str) -> tuple[list[str], list[str]]:
     texts = _SCAN_RE.findall(text)
     if texts[-2:] == ["", ""]:  # trailing blanks reach the end, then the end matches again
         texts.pop()
-    kinds = {t: _KINDS.get(t) or _LINE_RE.match(t).lastgroup or "eof" for t in set(texts)}
+    kinds = {t: _kind(t) for t in set(texts)}
     if "other" in kinds.values():
         tokenize(text)
     return list(map(kinds.__getitem__, texts)), texts

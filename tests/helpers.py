@@ -777,6 +777,13 @@ def successors(edges: frozenset[tuple[int, int]]) -> defaultdict[int, list[int]]
     return out
 
 
+def graph_from_edges(nodes: tuple[DependencyPair, ...],
+                     edges: frozenset[tuple[int, int]]) -> DependencyGraph:
+    """The dependency graph on nodes with the given edges."""
+    succ = successors(edges)
+    return DependencyGraph(nodes, tuple(tuple(succ[v]) for v in range(len(nodes))))
+
+
 def random_digraph(rng: random.Random, n: int, density: float = 0.3) -> frozenset[tuple[int, int]]:
     return frozenset(
         (i, j)

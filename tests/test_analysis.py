@@ -5,7 +5,6 @@ import pytest
 
 from treeterm import analysis
 from treeterm.analysis import (
-    DependencyGraph,
     DependencyPair,
     build_graph,
     check_criterion,
@@ -24,7 +23,15 @@ from treeterm.syntax import parse_pattern, parse_system, print_pattern
 from treeterm.terms import pattern_subst
 from treeterm.typecheck import validate_system
 from conftest import APP_PATH, FGIH_PATH, SYSTEMS, load_validated
-from helpers import clique_text, reference_edges, ring_text, successors, unify_patterns, wide_text
+from helpers import (
+    clique_text,
+    graph_from_edges,
+    reference_edges,
+    ring_text,
+    successors,
+    unify_patterns,
+    wide_text,
+)
 
 
 def pat(text: str):
@@ -290,7 +297,7 @@ def test_fgih_sccs(fgih_validated):
 
 
 def test_single_node_with_self_loop_is_nontrivial():
-    g = DependencyGraph(nodes=(DependencyPair("f", (), "f", ()),), edges=frozenset({(0, 0)}))
+    g = graph_from_edges((DependencyPair("f", (), "f", ()),), frozenset({(0, 0)}))
     assert sccs(g) == [(0,)]
     assert is_nontrivial((0,), g)
 
@@ -302,7 +309,7 @@ DEEP = 20_000
 def test_sccs_on_deep_graphs_do_not_recurse(closed):
     nodes = (DependencyPair("f", (), "f", ()),) * DEEP
     edges = {(i, i + 1) for i in range(DEEP - 1)} | ({(DEEP - 1, 0)} if closed else set())
-    comps = sccs(DependencyGraph(nodes, frozenset(edges)))
+    comps = sccs(graph_from_edges(nodes, frozenset(edges)))
     assert comps == ([tuple(range(DEEP))] if closed else [(i,) for i in range(DEEP)])
 
 

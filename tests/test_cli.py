@@ -109,7 +109,9 @@ def test_check_invalid(capsys):
 # Every diagnostic line `check` prints for systems/invalid/<name>.trs; each
 # file shows the code named by its file name up to the first dot, in every
 # wording it has.  `arg-type.blanks` has CRLF line ends, and a comment line,
-# a tab and a form feed before the error.
+# a tab and a form feed before the error.  In `undeclared-symbol.lone-cr` a
+# lone carriage return is a blank, so the declaration of `f` is inside the
+# comment on line 1.
 INVALID_DIAGNOSTICS = {
     "arg-type": (
         "E-ARG-TYPE: argument 'x' has type B(a), which is not a subtype of B(leaf) at 6:18",
@@ -192,6 +194,9 @@ INVALID_DIAGNOSTICS = {
     ),
     "undeclared-symbol": (
         "E-UNDECLARED-SYMBOL: symbol 'g' is not declared at 5:1",
+    ),
+    "undeclared-symbol.lone-cr": (
+        "E-UNDECLARED-SYMBOL: symbol 'f' is not declared at 2:1",
     ),
 }
 

@@ -7,7 +7,6 @@ from itertools import product
 from hypothesis import assume, example, given, settings, strategies as st
 
 from treeterm.analysis import (
-    DependencyGraph,
     DependencyPair,
     build_graph,
     embeds_strict,
@@ -16,6 +15,7 @@ from treeterm.analysis import (
     pattern_unifiable,
     sccs,
 )
+from treeterm.cli import _load
 from treeterm.rewrite import FuelExhausted, NormalForms, normalize, pattern_form
 from treeterm.syntax import (
     ParseError,
@@ -68,6 +68,7 @@ from helpers import (
     closed_pattern_above,
     closed_patterns,
     freshen,
+    graph_from_edges,
     ground_trees,
     pattern_above,
     pattern_below,
@@ -281,6 +282,22 @@ def test_scan_agrees_with_tokenize(text):
     assert tokenize_outcome(scan_tokens, text) == expected
 
 
+@given(st.lists(st.sampled_from(TEXT_FRAGMENTS), max_size=40).map("".join))
+@example("# a comment\rsymbol f : B(leaf) recursive 0;\nrule f -> g;\n")
+@example("\r$")
+@settings(max_examples=300)
+def test_cli_reads_the_text_parse_system_reads(tmp_path_factory, text):
+    # a file holding the text as UTF-8 loads as the text parses, with the same
+    # ParseError message and position if it does not
+    path = tmp_path_factory.getbasetemp() / "system.trs"
+    path.write_bytes(text.encode())
+    loaded = _load(str(path), say=lambda _: None)
+    expected = tokenize_outcome(parse_system, text)
+    if isinstance(loaded, ParseError):
+        loaded = loaded.message, loaded.line, loaded.col
+    assert loaded == expected
+
+
 # ---------------------------------------------------------------------------
 # Type substitution
 
@@ -433,7 +450,7 @@ def digraphs(draw, max_nodes: int = 12):
 def test_sccs_are_the_mutual_reachability_classes(graph):
     n, edges = graph
     nodes = (DependencyPair("f", (), "f", ()),) * n
-    assert sccs(DependencyGraph(nodes, edges)) == reference_sccs(n, edges)
+    assert sccs(graph_from_edges(nodes, edges)) == reference_sccs(n, edges)
 
 
 @given(rngs())
@@ -479,17 +496,17 @@ def index_components(draw):
         nodes.append(DependencyPair(f, lhs, g, tuple(draw(callee) for _ in range(arity[g]))))
     node = st.integers(0, len(nodes) - 1)
     edges = frozenset(draw(st.sets(st.tuples(node, node), max_size=3 * len(nodes))))
-    return tuple(range(len(nodes))), DependencyGraph(tuple(nodes), edges)
+    return tuple(range(len(nodes))), graph_from_edges(tuple(nodes), edges)
 
 
 # ι=1 leaves the self-loop weak, a cycle with every node passing; only the
 # later ι=2 works.  A search that stops exploring once its best near-miss
 # covers the whole component misses it.
-CYCLE_BEFORE_SUCCESS = ((0,), DependencyGraph(
+CYCLE_BEFORE_SUCCESS = ((0,), graph_from_edges(
     (DependencyPair("f", (_A, PNode(_A, _B)), "f", (_A, _A)),), frozenset({(0, 0)})))
 # ι=(1,1) and ι=(2,2) both pass node 0 and fail node 1; the first must stay
 # the near-miss.
-TIED_NEAR_MISSES = ((0, 1), DependencyGraph(
+TIED_NEAR_MISSES = ((0, 1), graph_from_edges(
     (DependencyPair("f", (_A, _B), "g", (_A, _B)),
      DependencyPair("g", (_A, _B), "f", (PLeaf(), PLeaf()))),
     frozenset({(0, 1), (1, 0)})))

@@ -9,7 +9,7 @@ import pytest
 
 import treeterm
 from treeterm import analysis, cli, report, rewrite, syntax, terms, typecheck  # noqa: F401
-from treeterm.analysis import DependencyGraph, DependencyPair
+from treeterm.analysis import DependencyPair
 from treeterm.terms import (
     Arrow,
     Base,
@@ -32,7 +32,6 @@ RECORDS = sorted(Record.__subclasses__(), key=lambda cls: cls.__name__)
 # Classes whose own __init__ needs arguments of a particular kind.
 EXAMPLES = {
     EApp: lambda: EApp(ELeaf(), ELeaf()),
-    DependencyGraph: lambda: DependencyGraph((), frozenset()),
 }
 
 

@@ -15,7 +15,9 @@ Each round runs one child process per tree, the old tree first in odd
 rounds and the new one first in even rounds, one process at a time.  A
 child warms up on the first op, then times every stage on every op: the
 best of three calls of `scan`, the token scan that `parse_system` runs
-first, and of `parse_system` on the text,
+first, of `tokenize`, the scan with lines and columns that a parse runs
+only once a location is read, as for an error (the valid workload systems
+never run it inside `parse_system`), and of `parse_system` on the text,
 `validate_system` on the parsed system, the layers of the analysis on
 their own (`extract_dps` on the validated system, `build_graph` on its
 pairs and `sccs` on the graph), `check_criterion`, which runs all of the
@@ -41,7 +43,7 @@ from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
-STAGES = ("scan", "parse_system", "validate_system", "extract_dps", "build_graph", "sccs",
+STAGES = ("scan", "tokenize", "parse_system", "validate_system", "extract_dps", "build_graph", "sccs",
           "check_criterion", "build_report", "report_to_json")
 REPEAT = 3  # calls per stage and op; the fastest counts
 
@@ -78,6 +80,7 @@ def time_stages(text: str, syntax, typecheck, analysis, report) -> dict[str, flo
     seconds = {}
     if hasattr(syntax, "scan"):
         seconds["scan"], _ = best(syntax.scan, text)
+    seconds["tokenize"], _ = best(syntax.tokenize, text)
     seconds["parse_system"], system = best(syntax.parse_system, text)
     seconds["validate_system"], validated = best(typecheck.validate_system, system)
     if isinstance(validated, list):
