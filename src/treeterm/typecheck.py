@@ -91,10 +91,16 @@ def type_sub(t: RefinementType, u: RefinementType) -> bool:
     if isinstance(t, Arrow) and isinstance(u, Arrow):
         return type_sub(u.dom, t.dom) and type_sub(t.cod, u.cod)
     if isinstance(t, Forall) and isinstance(u, Forall):
-        common = fresh_name(t.binder, type_free_vars(t.body) | type_free_vars(u.body))
-        tb = type_subst(t.body, {t.binder: PVar(common)})
-        ub = type_subst(u.body, {u.binder: PVar(common)})
-        return type_sub(tb, ub)
+        # rename the common prefix apart from the free variables, once per side
+        avoid = {*type_free_vars(t), *type_free_vars(u)}
+        t_names: dict[str, Pattern] = {}
+        u_names: dict[str, Pattern] = {}
+        while isinstance(t, Forall) and isinstance(u, Forall):
+            common = fresh_name(t.binder, avoid)
+            avoid.add(common)
+            t_names[t.binder] = u_names[u.binder] = PVar(common)
+            t, u = t.body, u.body
+        return type_sub(type_subst(t, t_names), type_subst(u, u_names))
     return False
 
 
@@ -275,15 +281,28 @@ def synthesize(sig: Signature, ctx: Context, t: AnnotatedTerm) -> RefinementType
             )
         return fun_ty.cod
     if isinstance(t, PatApp):
-        fun_ty = synthesize(sig, ctx, t.fun)
-        if not isinstance(fun_ty, Forall):
-            raise TypeCheckError(
-                "E-EXPECTED-POLY",
-                f"term {print_term(t.fun)!r} of type {print_type(fun_ty)} is applied "
-                "to a pattern but is not quantified",
-                loc=t.loc,
-            )
-        return type_subst(fun_ty.body, {fun_ty.binder: t.pattern})
+        spine = [t]  # the pattern applications of one head, outermost first
+        while isinstance(spine[-1].fun, PatApp):
+            spine.append(spine[-1].fun)
+        fun_ty = synthesize(sig, ctx, spine[-1].fun)
+        body, mapping = fun_ty, {}
+        for app in reversed(spine):
+            if not isinstance(body, Forall):
+                break
+            mapping[body.binder] = app.pattern  # an inner binder shadows an outer one
+            body = body.body
+        else:  # one quantifier per pattern: instantiate them all at once
+            return type_subst(body, mapping)
+        # one at a time, so that the error prints the type as instantiated so far
+        for app in reversed(spine):
+            if not isinstance(fun_ty, Forall):
+                raise TypeCheckError(
+                    "E-EXPECTED-POLY",
+                    f"term {print_term(app.fun)!r} of type {print_type(fun_ty)} is applied "
+                    "to a pattern but is not quantified",
+                    loc=app.loc,
+                )
+            fun_ty = type_subst(fun_ty.body, {fun_ty.binder: app.pattern})
     if isinstance(t, Lam):
         inner = ctx.extend(t.binder, t.annot, loc=t.loc)
         return Arrow(t.annot, synthesize(sig, inner, t.body))

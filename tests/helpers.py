@@ -64,11 +64,13 @@ from treeterm.terms import (
     TermVar,
     alpha_canonical,
     erased_subst,
+    fresh_name,
     pattern_subst,
     pattern_vars,
+    type_free_vars,
     type_subst,
 )
-from treeterm.typecheck import Context, synthesize, type_sub
+from treeterm.typecheck import Context, pattern_sub, synthesize, type_sub
 
 # ---------------------------------------------------------------------------
 # References: pattern and type predicates, type checking, unification,
@@ -131,6 +133,32 @@ def alpha_eq_type(a: RefinementType, b: RefinementType) -> bool:
 def check(sig: Signature, ctx: Context, t: AnnotatedTerm, ty: RefinementType) -> bool:
     """True when the synthesized type of t is a subtype of ty."""
     return type_sub(synthesize(sig, ctx, t), ty)
+
+
+def sequential_instantiate(ty: RefinementType, patterns: list[Pattern]) -> RefinementType | None:
+    """Reference instantiation of a pattern-application spine, one pattern at a
+    time, as `synthesize` did before it substituted a whole spine at once;
+    None when a pattern meets no quantifier."""
+    for p in patterns:
+        if not isinstance(ty, Forall):
+            return None
+        ty = type_subst(ty.body, {ty.binder: p})
+    return ty
+
+
+def reference_type_sub(t: RefinementType, u: RefinementType) -> bool:
+    """Reference subtyping that renames one quantifier level at a time, as
+    `type_sub` did before it renamed a whole common prefix at once."""
+    if isinstance(t, Base) and isinstance(u, Base):
+        return pattern_sub(t.pattern, u.pattern)
+    if isinstance(t, Arrow) and isinstance(u, Arrow):
+        return reference_type_sub(u.dom, t.dom) and reference_type_sub(t.cod, u.cod)
+    if isinstance(t, Forall) and isinstance(u, Forall):
+        common = fresh_name(t.binder, type_free_vars(t.body) | type_free_vars(u.body))
+        tb = type_subst(t.body, {t.binder: PVar(common)})
+        ub = type_subst(u.body, {u.binder: PVar(common)})
+        return reference_type_sub(tb, ub)
+    return False
 
 
 def alpha_eq_erased(a: ErasedTerm, b: ErasedTerm) -> bool:
@@ -896,3 +924,23 @@ def wide_text(n: int, k: int, j: int | None = -1) -> str:
         lines.append(f"rule f{i}[{','.join(lhs_pats)}] {' '.join(lhs_args)} -> "
                      f"f{(i + 1) % n}[{','.join(rhs_pats)}] {' '.join(rhs_args)};")
     return "\n".join(lines) + "\n"
+
+
+def wide_self_text(k: int) -> str:
+    """wide-self-k: one symbol with k recursive arguments and one rule that
+    calls itself on all of them unchanged, so its right-hand side applies the
+    symbol to a spine of k patterns."""
+    params = [f"a{p}" for p in range(k)]
+    arrows = " -> ".join(f"B({a})" for a in params)
+    call = f"f[{','.join(params)}] {' '.join(f'x{p}' for p in range(k))}"
+    return f"symbol f : forall {' '.join(params)}. {arrows} -> B(_) recursive {k};\nrule {call} -> {call};\n"
+
+
+def patlam_text(k: int) -> str:
+    """patlam-k: one symbol whose result type is quantified k times under an
+    arrow, and one rule whose right-hand side abstracts k patterns under other
+    names, so validation checks a k-quantifier prefix against another."""
+    quantified = f"(forall {' '.join(f'a{p}' for p in range(k))}. B(a0) -> B(a0))"
+    abstraction = "".join(f"/\\b{p}. " for p in range(k))
+    return (f"symbol h : B(leaf) -> {quantified} recursive 0;\n"
+            f"rule h -> \\z:B(leaf). {abstraction}\\x:B(b0). x;\n")

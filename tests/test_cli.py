@@ -19,7 +19,7 @@ from treeterm.cli import main
 from treeterm.report import SCHEMA_VERSION
 from treeterm.syntax import print_erased
 from conftest import APP_PATH, FGIH_PATH, NONMINIMAL_PATH, SYSTEMS
-from helpers import CHOICE_TEXT, choice_spine, clique_text, full_tree, ring_text, spine_tree
+from helpers import CHOICE_TEXT, choice_spine, clique_text, full_tree, ring_text, spine_tree, wide_self_text
 
 APP = str(APP_PATH)
 FGIH = str(FGIH_PATH)
@@ -126,6 +126,10 @@ INVALID_DIAGNOSTICS = {
     "expected-poly": (
         "E-EXPECTED-POLY: term 'x' of type B(a) is applied to a pattern but is not quantified "
         "at 5:17",
+    ),
+    "expected-poly.spine": (
+        "E-EXPECTED-POLY: term 'f[leaf]' of type B(leaf) -> B(leaf) is applied to a pattern but "
+        "is not quantified at 2:48",
     ),
     "free-var": (
         "E-FREE-VAR: right-hand side variable 'y' does not occur on the left-hand side at 5:1",
@@ -701,6 +705,18 @@ def test_check_deep_ring_in_a_process(tmp_path):
     assert result.returncode == 0, result.stderr
     assert "Traceback" not in result.stderr
     assert result.stdout.splitlines()[2] == "  dependency pairs: 1300, edges: 1300"
+
+
+def test_check_wide_self_400_in_a_process(tmp_path):
+    """A right-hand side applying its symbol to 400 patterns gets a verdict:
+    the spine is instantiated in one substitution, not one frame per pattern."""
+    wide = tmp_path / "wide-self-400.trs"
+    wide.write_text(wide_self_text(400))
+    result = subprocess.run([sys.executable, "-m", "treeterm.cli", "check", str(wide)],
+                            capture_output=True, text=True)
+    assert result.returncode == 1, result.stderr
+    assert result.stdout.splitlines()[:3] == [
+        f"UNKNOWN: {wide}", "  rules: 1, symbols: 1", "  dependency pairs: 1, edges: 1"]
 
 
 def deep_tree(depth: int) -> str:

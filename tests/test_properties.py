@@ -4,6 +4,7 @@ from __future__ import annotations
 import random
 from itertools import product
 
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from treeterm.analysis import (
@@ -27,6 +28,7 @@ from treeterm.syntax import (
     print_pattern,
     print_rule,
     print_system,
+    print_term,
     print_type,
     scan,
     tokenize,
@@ -41,22 +43,29 @@ from treeterm.terms import (
     ENode,
     ESym,
     Forall,
+    PatApp,
     PBottom,
     PLeaf,
     PNode,
     PVar,
     PWild,
+    TermVar,
     alpha_canonical,
     pattern_subst,
     pattern_vars,
+    quantifier_prefix,
     type_free_vars,
+    type_subst,
 )
 from treeterm.typecheck import (
     ABSENT,
     POSITIVE,
+    Context,
+    TypeCheckError,
     min_type_lhs,
     pattern_sub,
     polarity,
+    synthesize,
     type_sub,
     validate_signature,
 )
@@ -86,6 +95,8 @@ from helpers import (
     reference_normalize,
     reference_sccs,
     reference_tokenize,
+    reference_type_sub,
+    sequential_instantiate,
     step,
     strictly_above_pattern,
     subst_pattern,
@@ -149,6 +160,16 @@ def types(draw, max_depth: int = 3):
 @st.composite
 def rngs(draw):
     return random.Random(draw(st.integers(0, 2**32 - 1)))
+
+
+@st.composite
+def prefixed_types(draw):
+    """A type under a prefix of up to four quantifiers named a, b or c, so
+    binders repeat and patterns drawn over the same names can be captured."""
+    ty = draw(types())
+    for binder in draw(st.lists(st.sampled_from(["a", "b", "c"]), max_size=4)):
+        ty = Forall(binder, ty)
+    return ty
 
 
 @st.composite
@@ -353,6 +374,65 @@ def test_type_sub_constructed_chain(rng):
     assert type_sub(lo, t)
     assert type_sub(t, hi)
     assert type_sub(lo, hi)
+
+
+def renamed_prefix(t):
+    """t with each binder of its quantifier prefix renamed apart, an
+    alpha-variant that names no binder as t does."""
+    if not isinstance(t, Forall):
+        return t
+    body = type_subst(t.body, {t.binder: PVar(t.binder + "1")})
+    return Forall(t.binder + "1", renamed_prefix(body))
+
+
+def rebound_prefix(t, rng):
+    """t with each binder of its quantifier prefix replaced by a, b or c and
+    its body left as it is, so occurrences may change binders or go free."""
+    if not isinstance(t, Forall):
+        return t
+    return Forall(rng.choice("abc"), rebound_prefix(t.body, rng))
+
+
+@given(prefixed_types(), prefixed_types(), rngs(), st.sampled_from(["alpha", "rebound", "other"]))
+@settings(max_examples=300)
+def test_type_sub_matches_one_level_at_a_time(t, other, rng, relation):
+    """Renaming a whole common quantifier prefix at once decides as renaming
+    it one level at a time: against an alpha-variant of a supertype, against
+    the same with its binders renamed but not their occurrences, and against
+    any type, with a prefix of any length."""
+    above = type_above(rng, t)
+    u = {"alpha": renamed_prefix(above), "rebound": rebound_prefix(above, rng), "other": other}[relation]
+    assert type_sub(t, u) == reference_type_sub(t, u)
+    assert type_sub(u, t) == reference_type_sub(u, t)
+    if relation == "alpha":
+        assert type_sub(t, u)
+
+
+@given(prefixed_types(), st.data())
+@settings(max_examples=300)
+def test_spine_instantiation_matches_one_pattern_at_a_time(ty, data):
+    """A pattern-application spine instantiated at once gives the type of
+    substituting its patterns one at a time, up to the names of binders; a
+    pattern that meets no quantifier gives the same error, word for word, at
+    the same application."""
+    depth = len(quantifier_prefix(ty)[0])
+    spine = data.draw(st.lists(patterns(2), min_size=1, max_size=depth + 2))
+    terms = [TermVar("f")]
+    for i, p in enumerate(spine):
+        terms.append(PatApp(terms[-1], p, loc=i))
+    ctx = Context((("f", ty),))
+    expected = sequential_instantiate(ty, spine)
+    if expected is not None:
+        assert alpha_eq_type(synthesize(EMPTY.signature, ctx, terms[-1]), expected)
+        return
+    failing = next(i for i in range(len(spine)) if sequential_instantiate(ty, spine[: i + 1]) is None)
+    with pytest.raises(TypeCheckError) as err:
+        synthesize(EMPTY.signature, ctx, terms[-1])
+    assert (err.value.code, err.value.loc) == ("E-EXPECTED-POLY", failing)
+    assert err.value.message == (
+        f"term {print_term(terms[failing])!r} of type "
+        f"{print_type(sequential_instantiate(ty, spine[:failing]))} is applied to a pattern but "
+        "is not quantified")
 
 
 @given(rngs())

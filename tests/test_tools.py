@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from helpers import wide_self_text
+
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
@@ -79,3 +81,26 @@ def test_time_stages_prints_a_dash_for_a_stage_a_tree_does_not_have():
     time_stages = load_tool("time_stages")
     assert time_stages.row("scan", None, 0.5).split() == ["scan", "-", "0.500", "-"]
     assert time_stages.row("sccs", 0.25, 0.5).split() == ["sccs", "0.250", "0.500", "2.00"]
+
+
+def test_time_stages_times_one_wide_self_system(capsys):
+    time_stages = load_tool("time_stages")
+    src = str(TOOLS.parent / "src")
+    assert time_stages.main([src, src, "--wide-self", "12", "--rounds", "2"]) == 0
+    title, header, *rows = capsys.readouterr().out.splitlines()
+    assert title == "wide-self-12, 2 rounds: median ms per op"
+    assert len(rows) == len(time_stages.STAGES)
+    assert all(float(row.split()[1]) > 0 for row in rows)
+    fixture = (TOOLS.parent / "systems" / "wide-self-12.trs").read_text()
+    assert time_stages.wide_self_text(12) == wide_self_text(12)
+    assert fixture.endswith(wide_self_text(12))
+
+
+@pytest.mark.parametrize("argv", [["--wide-self", "0"], ["--wide-self", "3", "--ring-800"]])
+def test_time_stages_refuses_a_wide_self_size_it_cannot_time(capsys, argv):
+    time_stages = load_tool("time_stages")
+    src = str(TOOLS.parent / "src")
+    with pytest.raises(SystemExit) as exit_info:
+        time_stages.main([src, src, *argv])
+    assert exit_info.value.code == 2
+    assert "--wide-self" in capsys.readouterr().err

@@ -4,12 +4,15 @@ child processes.
 
     python3 tools/time_stages.py OLD_SRC NEW_SRC --workload W --seed S
     python3 tools/time_stages.py OLD_SRC NEW_SRC --ring-800
+    python3 tools/time_stages.py OLD_SRC NEW_SRC --wide-self K
 
 OLD_SRC and NEW_SRC are directories holding a `treeterm` package, such as
 the `src/` of two checkouts.  The ops are the check ops of perfbench
 workload W (ring, clique or wide) for seed S, in their run order, built by
 `perfbench/workloads.py`; `--ops N` keeps the first N.  `--ring-800` times
-the one system `ring_text(800)` instead.
+the one system `ring_text(800)` instead, and `--wide-self K` the one system
+wide-self-K: a symbol with K recursive arguments and a rule that calls it on
+all of them, so that its right-hand side applies it to K patterns.
 
 Each round runs one child process per tree, the old tree first in odd
 rounds and the new one first in even rounds, one process at a time.  A
@@ -58,7 +61,17 @@ def load_workloads():
     return module
 
 
+def wide_self_text(k: int) -> str:
+    """wide-self-k, as `tests/helpers.py` builds it."""
+    params = [f"a{p}" for p in range(k)]
+    arrows = " -> ".join(f"B({a})" for a in params)
+    call = f"f[{','.join(params)}] {' '.join(f'x{p}' for p in range(k))}"
+    return f"symbol f : forall {' '.join(params)}. {arrows} -> B(_) recursive {k};\nrule {call} -> {call};\n"
+
+
 def texts(workload: str, seed: int, ops: int | None) -> list[str]:
+    if workload.startswith("wide-self-"):
+        return [wide_self_text(int(workload.removeprefix("wide-self-")))]
     workloads = load_workloads()
     if workload == "ring-800":
         return [workloads.ring_text(800)]
@@ -115,6 +128,7 @@ def run_child(src: Path, args: argparse.Namespace) -> dict[str, float]:
     argv = [sys.executable, __file__, "--child", str(src), "--workload", args.workload,
             "--seed", str(args.seed)]
     argv += (["--ops", str(args.ops)] if args.ops else []) + (["--ring-800"] if args.ring_800 else [])
+    argv += ["--wide-self", str(args.wide_self)] if args.wide_self else []
     done = subprocess.run(argv, capture_output=True, text=True,
                           env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     if done.returncode != 0:
@@ -140,10 +154,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--ops", type=int, help="time only the first OPS ops of the run order")
     parser.add_argument("--ring-800", action="store_true", help="time ring_text(800) alone")
+    parser.add_argument("--wide-self", type=int, metavar="K", help="time wide-self-K alone")
     parser.add_argument("--rounds", type=int, default=6)
     parser.add_argument("--child", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    workload = "ring-800" if args.ring_800 else args.workload
+    if args.ring_800 and args.wide_self:
+        parser.error("give --ring-800 or --wide-self, not both")
+    if args.wide_self is not None and args.wide_self < 1:
+        parser.error(f"--wide-self: expected a positive integer, got {args.wide_self}")
+    workload = ("ring-800" if args.ring_800 else f"wide-self-{args.wide_self}" if args.wide_self
+                else args.workload)
     if args.child:
         child(args.child, workload, args.seed, args.ops)
         return 0
@@ -159,7 +179,8 @@ def main(argv: list[str] | None = None) -> int:
         for side in ("old", "new") if r % 2 == 0 else ("new", "old"):
             figures[side].append(run_child(trees[side], args))
     count = len(texts(workload, args.seed, args.ops))
-    title = "ring_text(800)" if args.ring_800 else f"{workload} seed {args.seed}, {count} ops"
+    title = ("ring_text(800)" if args.ring_800 else workload if args.wide_self
+             else f"{workload} seed {args.seed}, {count} ops")
     print(f"{title}, {args.rounds} rounds: median ms per op")
     print(f"{'stage':<16}{'old':>10}{'new':>10}{'new/old':>10}")
     for stage in STAGES:
