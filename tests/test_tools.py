@@ -104,3 +104,23 @@ def test_time_stages_refuses_a_wide_self_size_it_cannot_time(capsys, argv):
         time_stages.main([src, src, *argv])
     assert exit_info.value.code == 2
     assert "--wide-self" in capsys.readouterr().err
+
+
+RUN_STDOUT = """workload wide, seed 1, 72 ops per pass
+calibration loop: median 0.252 ms over 1590 timings (nominal 0.400 ms); uncalibrated: ops_per_s 1365.63, op_p50_s 0.000678125, op_p90_s 0.00112372
+  ops_per_s         859.674 1/s
+{"correct": true, "attempted": 1580, "failed": 0, "metrics": {"ops_per_s": {"value": 859.674, "unit": "1/s"}}}
+"""
+
+
+def test_bench_pairs_keeps_the_uncalibrated_figures_of_a_run(monkeypatch, tmp_path):
+    bench_pairs = load_tool("bench_pairs")
+    monkeypatch.setattr(subprocess, "run", lambda *args, **kwargs: subprocess.CompletedProcess(
+        args, 0, stdout=RUN_STDOUT, stderr=""))
+    run = bench_pairs.run_once(tmp_path, "wide", 1, 30)
+    assert run["metrics"] == {"ops_per_s": 859.674}
+    assert run["uncalibrated"] == {"calibration_loop_ms": 0.252, "ops_per_s": 1365.63,
+                                   "op_p50_s": 0.000678125, "op_p90_s": 0.00112372}
+    pair = {"parent": run, "change": {**run, "uncalibrated": {**run["uncalibrated"], "ops_per_s": 1400.0}}}
+    raw = bench_pairs.summarize([pair], bench_pairs.RAW_METRICS, "uncalibrated")
+    assert raw["ops_per_s"]["change_wins"] == 1 and raw["op_p50_s"]["ties"] == 1

@@ -15,7 +15,11 @@ The file written at the repository root holds, per workload and metric, the
 median of each side, the parent's quartiles and interquartile range, the
 change/parent ratio of the medians and the number of pairs the change won,
 plus every run's metrics, the seeds, both commit ids, a hash of each `src/`
-and a note on the host.  A run that fails to produce its result line stops
+and a note on the host.  Each run also keeps the uncalibrated `ops_per_s`,
+`op_p50_s` and `op_p90_s` and the median of the calibration loop, from the
+line `perfbench/run.py` prints about them; they are summarized the same way
+under `uncalibrated`, where `agrees` says whether the uncalibrated ratio
+moves in the same direction as the calibrated one.  A run that fails to produce its result line stops
 the script with exit 2.  Progress goes to stderr.
 
 The script refuses to start, with exit 2, while either checkout has a
@@ -29,6 +33,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -37,6 +42,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
+UNCALIBRATED = re.compile(
+    r"^calibration loop: median (?P<calibration_loop_ms>\S+) ms .*; uncalibrated: "
+    r"ops_per_s (?P<ops_per_s>\S+), op_p50_s (?P<op_p50_s>\S+), op_p90_s (?P<op_p90_s>\S+)$",
+    re.MULTILINE)
+RAW_METRICS = [{"name": "ops_per_s", "better": "higher"}, {"name": "op_p50_s", "better": "lower"},
+               {"name": "op_p90_s", "better": "lower"},
+               {"name": "calibration_loop_ms", "better": "lower"}]
 
 
 def git_commit(checkout: Path) -> str | None:
@@ -84,9 +96,12 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
               f"{done.stderr.strip()}", file=sys.stderr)
         sys.exit(2)
     result = json.loads(lines[-1])
+    raw = UNCALIBRATED.search(done.stdout)
     return {"correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"], "wall_s": round(time.perf_counter() - started, 3),
-            "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
+            "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+            "uncalibrated": {name: float(value) for name, value in raw.groupdict().items()}
+            if raw else {}}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -96,12 +111,16 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(runs: list[dict], metrics: list[dict]) -> dict:
+def summarize(runs: list[dict], metrics: list[dict], key: str = "metrics") -> dict:
+    """Per metric, the two sides' medians and how the change compares, over
+    the figures each run keeps under `key`."""
     out = {}
     for metric in metrics:
         name, higher = metric["name"], metric["better"] == "higher"
-        parent = [r["parent"]["metrics"][name] for r in runs]
-        change = [r["change"]["metrics"][name] for r in runs]
+        if not all(name in r[side][key] for r in runs for side in ("parent", "change")):
+            continue
+        parent = [r["parent"][key][name] for r in runs]
+        change = [r["change"][key][name] for r in runs]
         q1, parent_median, q3 = quartiles(parent)
         change_median = statistics.median(change)
         wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
@@ -162,10 +181,12 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{workload} seed {seed}: ops_per_s parent "
                   f"{pair['parent']['metrics']['ops_per_s']:.4g}, change "
                   f"{pair['change']['metrics']['ops_per_s']:.4g}", file=sys.stderr)
-        doc["workloads"][workload] = {
-            "metrics": summarize(runs, benchmark["end_to_end"]),
-            "runs": runs,
-        }
+        calibrated = summarize(runs, benchmark["end_to_end"])
+        raw = summarize(runs, RAW_METRICS, "uncalibrated")
+        for name, summary in raw.items():
+            if name in calibrated and None not in (summary["ratio"], calibrated[name]["ratio"]):
+                summary["agrees"] = (summary["ratio"] > 1) == (calibrated[name]["ratio"] > 1)
+        doc["workloads"][workload] = {"metrics": calibrated, "uncalibrated": raw, "runs": runs}
     doc["host"]["loadavg_at_end"] = os.getloadavg() if hasattr(os, "getloadavg") else None
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
