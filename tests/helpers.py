@@ -910,7 +910,9 @@ def clique_text(n: int, passthrough: frozenset[tuple[int, int]] = frozenset()) -
 def wide_text(n: int, k: int, j: int | None = -1) -> str:
     """wide-n×k: a ring of n symbols with k tree arguments; each rule keeps
     every argument but the j-th (the last by default), which it shrinks.
-    With j None nothing shrinks, so no index assignment works."""
+    With j None nothing shrinks, so no index assignment works.  wide-self-k
+    is wide-1×k with j None: its one rule applies its symbol to a spine of k
+    patterns."""
     params = [f"a{p}" for p in range(k)]
     arrows = " -> ".join(f"B({a})" for a in params)
     lines = [f"symbol f{i} : forall {' '.join(params)}. {arrows} -> B(_) recursive {k};"
@@ -924,16 +926,6 @@ def wide_text(n: int, k: int, j: int | None = -1) -> str:
         lines.append(f"rule f{i}[{','.join(lhs_pats)}] {' '.join(lhs_args)} -> "
                      f"f{(i + 1) % n}[{','.join(rhs_pats)}] {' '.join(rhs_args)};")
     return "\n".join(lines) + "\n"
-
-
-def wide_self_text(k: int) -> str:
-    """wide-self-k: one symbol with k recursive arguments and one rule that
-    calls itself on all of them unchanged, so its right-hand side applies the
-    symbol to a spine of k patterns."""
-    params = [f"a{p}" for p in range(k)]
-    arrows = " -> ".join(f"B({a})" for a in params)
-    call = f"f[{','.join(params)}] {' '.join(f'x{p}' for p in range(k))}"
-    return f"symbol f : forall {' '.join(params)}. {arrows} -> B(_) recursive {k};\nrule {call} -> {call};\n"
 
 
 def patlam_text(k: int) -> str:

@@ -19,7 +19,7 @@ from treeterm.cli import main
 from treeterm.report import SCHEMA_VERSION
 from treeterm.syntax import print_erased
 from conftest import APP_PATH, FGIH_PATH, NONMINIMAL_PATH, SYSTEMS
-from helpers import CHOICE_TEXT, choice_spine, clique_text, full_tree, ring_text, spine_tree, wide_self_text
+from helpers import CHOICE_TEXT, choice_spine, clique_text, full_tree, ring_text, spine_tree, wide_text
 
 APP = str(APP_PATH)
 FGIH = str(FGIH_PATH)
@@ -711,7 +711,7 @@ def test_check_wide_self_400_in_a_process(tmp_path):
     """A right-hand side applying its symbol to 400 patterns gets a verdict:
     the spine is instantiated in one substitution, not one frame per pattern."""
     wide = tmp_path / "wide-self-400.trs"
-    wide.write_text(wide_self_text(400))
+    wide.write_text(wide_text(1, 400, None))
     result = subprocess.run([sys.executable, "-m", "treeterm.cli", "check", str(wide)],
                             capture_output=True, text=True)
     assert result.returncode == 1, result.stderr

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import wide_self_text
+from helpers import wide_text
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -92,8 +92,8 @@ def test_time_stages_times_one_wide_self_system(capsys):
     assert len(rows) == len(time_stages.STAGES)
     assert all(float(row.split()[1]) > 0 for row in rows)
     fixture = (TOOLS.parent / "systems" / "wide-self-12.trs").read_text()
-    assert time_stages.wide_self_text(12) == wide_self_text(12)
-    assert fixture.endswith(wide_self_text(12))
+    assert time_stages.texts("wide-self-12", 1, None) == [wide_text(1, 12, None)]
+    assert fixture.endswith(wide_text(1, 12, None))
 
 
 @pytest.mark.parametrize("argv", [["--wide-self", "0"], ["--wide-self", "3", "--ring-800"]])

@@ -1,6 +1,8 @@
 """Subtyping, polarity, signature validation, synthesis, and minimal typing."""
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from treeterm import analysis, terms, typecheck
@@ -42,7 +44,7 @@ from helpers import (
     reference_type_sub,
     ring_text,
     sequential_instantiate,
-    wide_self_text,
+    wide_text,
 )
 
 
@@ -619,7 +621,7 @@ def substitution_calls(monkeypatch, text: str) -> int:
     return calls
 
 
-@pytest.mark.parametrize("family", [wide_self_text, patlam_text], ids=["wide-self", "patlam"])
+@pytest.mark.parametrize("family", [partial(wide_text, 1, j=None), patlam_text], ids=["wide-self", "patlam"])
 def test_validation_work_is_linear_in_the_quantifiers(monkeypatch, family):
     """Doubling the quantifiers at most doubles the substitution work, plus a
     margin for the constant part.  wide-self instantiates a spine of k

@@ -19,8 +19,9 @@ and a note on the host.  Each run also keeps the uncalibrated `ops_per_s`,
 `op_p50_s` and `op_p90_s` and the median of the calibration loop, from the
 line `perfbench/run.py` prints about them; they are summarized the same way
 under `uncalibrated`, where `agrees` says whether the uncalibrated ratio
-moves in the same direction as the calibrated one.  A run that fails to produce its result line stops
-the script with exit 2.  Progress goes to stderr.
+moves in the same direction as the calibrated one.  A run that fails to
+produce its result line stops the script with exit 2.  Progress goes to
+stderr.
 
 The script refuses to start, with exit 2, while either checkout has a
 `__pycache__` directory under `src/`: cached bytecode skips compilation, so

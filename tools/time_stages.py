@@ -11,8 +11,9 @@ the `src/` of two checkouts.  The ops are the check ops of perfbench
 workload W (ring, clique or wide) for seed S, in their run order, built by
 `perfbench/workloads.py`; `--ops N` keeps the first N.  `--ring-800` times
 the one system `ring_text(800)` instead, and `--wide-self K` the one system
-wide-self-K: a symbol with K recursive arguments and a rule that calls it on
-all of them, so that its right-hand side applies it to K patterns.
+wide-self-K, perfbench's wide-1×K with no shrinking argument: a symbol with
+K recursive arguments and a rule that calls it on all of them, so that its
+right-hand side applies it to K patterns.
 
 Each round runs one child process per tree, the old tree first in odd
 rounds and the new one first in even rounds, one process at a time.  A
@@ -39,6 +40,7 @@ import argparse
 import importlib.util
 import json
 import os
+import random
 import statistics
 import subprocess
 import sys
@@ -61,20 +63,13 @@ def load_workloads():
     return module
 
 
-def wide_self_text(k: int) -> str:
-    """wide-self-k, as `tests/helpers.py` builds it."""
-    params = [f"a{p}" for p in range(k)]
-    arrows = " -> ".join(f"B({a})" for a in params)
-    call = f"f[{','.join(params)}] {' '.join(f'x{p}' for p in range(k))}"
-    return f"symbol f : forall {' '.join(params)}. {arrows} -> B(_) recursive {k};\nrule {call} -> {call};\n"
-
-
 def texts(workload: str, seed: int, ops: int | None) -> list[str]:
-    if workload.startswith("wide-self-"):
-        return [wide_self_text(int(workload.removeprefix("wide-self-")))]
     workloads = load_workloads()
     if workload == "ring-800":
         return [workloads.ring_text(800)]
+    if workload.startswith("wide-self-"):
+        k = int(workload.removeprefix("wide-self-"))
+        return [workloads.wide_text(1, k, None, random.Random(0))]
     run_order, _ = workloads.build(workload, seed)
     return [op.text for op in run_order[:ops]]
 
