@@ -284,25 +284,18 @@ def synthesize(sig: Signature, ctx: Context, t: AnnotatedTerm) -> RefinementType
         spine = [t]  # the pattern applications of one head, outermost first
         while isinstance(spine[-1].fun, PatApp):
             spine.append(spine[-1].fun)
-        fun_ty = synthesize(sig, ctx, spine[-1].fun)
-        body, mapping = fun_ty, {}
+        body, mapping = synthesize(sig, ctx, spine[-1].fun), {}
         for app in reversed(spine):
             if not isinstance(body, Forall):
-                break
-            mapping[body.binder] = app.pattern  # an inner binder shadows an outer one
-            body = body.body
-        else:  # one quantifier per pattern: instantiate them all at once
-            return type_subst(body, mapping)
-        # one at a time, so that the error prints the type as instantiated so far
-        for app in reversed(spine):
-            if not isinstance(fun_ty, Forall):
                 raise TypeCheckError(
                     "E-EXPECTED-POLY",
-                    f"term {print_term(app.fun)!r} of type {print_type(fun_ty)} is applied "
-                    "to a pattern but is not quantified",
+                    f"term {print_term(app.fun)!r} of type {print_type(type_subst(body, mapping))} "
+                    "is applied to a pattern but is not quantified",
                     loc=app.loc,
                 )
-            fun_ty = type_subst(fun_ty.body, {fun_ty.binder: app.pattern})
+            mapping[body.binder] = app.pattern  # an inner binder shadows an outer one
+            body = body.body
+        return type_subst(body, mapping)  # one substitution for the whole spine
     if isinstance(t, Lam):
         inner = ctx.extend(t.binder, t.annot, loc=t.loc)
         return Arrow(t.annot, synthesize(sig, inner, t.body))

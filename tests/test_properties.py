@@ -413,8 +413,8 @@ def test_type_sub_matches_one_level_at_a_time(t, other, rng, relation):
 def test_spine_instantiation_matches_one_pattern_at_a_time(ty, data):
     """A pattern-application spine instantiated at once gives the type of
     substituting its patterns one at a time, up to the names of binders; a
-    pattern that meets no quantifier gives the same error, word for word, at
-    the same application."""
+    pattern that meets no quantifier gives the same error at the same
+    application, its type the same up to the names of binders."""
     depth = len(quantifier_prefix(ty)[0])
     spine = data.draw(st.lists(patterns(2), min_size=1, max_size=depth + 2))
     terms = [TermVar("f")]
@@ -429,10 +429,11 @@ def test_spine_instantiation_matches_one_pattern_at_a_time(ty, data):
     with pytest.raises(TypeCheckError) as err:
         synthesize(EMPTY.signature, ctx, terms[-1])
     assert (err.value.code, err.value.loc) == ("E-EXPECTED-POLY", failing)
-    assert err.value.message == (
-        f"term {print_term(terms[failing])!r} of type "
-        f"{print_type(sequential_instantiate(ty, spine[:failing]))} is applied to a pattern but "
-        "is not quantified")
+    head = f"term {print_term(terms[failing])!r} of type "
+    tail = " is applied to a pattern but is not quantified"
+    assert err.value.message.startswith(head) and err.value.message.endswith(tail)
+    printed = err.value.message[len(head): -len(tail)]
+    assert alpha_eq_type(parse_type(printed), sequential_instantiate(ty, spine[:failing]))
 
 
 @given(rngs())

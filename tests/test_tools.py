@@ -124,3 +124,15 @@ def test_bench_pairs_keeps_the_uncalibrated_figures_of_a_run(monkeypatch, tmp_pa
     pair = {"parent": run, "change": {**run, "uncalibrated": {**run["uncalibrated"], "ops_per_s": 1400.0}}}
     raw = bench_pairs.summarize([pair], bench_pairs.RAW_METRICS, "uncalibrated")
     assert raw["ops_per_s"]["change_wins"] == 1 and raw["op_p50_s"]["ties"] == 1
+
+
+def test_bench_pairs_stops_on_a_run_without_its_calibration_line(monkeypatch, capsys, tmp_path):
+    bench_pairs = load_tool("bench_pairs")
+    stdout = "".join(line for line in RUN_STDOUT.splitlines(keepends=True)
+                     if not line.startswith("calibration loop"))
+    monkeypatch.setattr(subprocess, "run", lambda *args, **kwargs: subprocess.CompletedProcess(
+        args, 0, stdout=stdout, stderr=""))
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.run_once(tmp_path, "wide", 1, 30)
+    assert exit_info.value.code == 2
+    assert "calibration loop" in capsys.readouterr().err

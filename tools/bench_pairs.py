@@ -20,8 +20,8 @@ and a note on the host.  Each run also keeps the uncalibrated `ops_per_s`,
 line `perfbench/run.py` prints about them; they are summarized the same way
 under `uncalibrated`, where `agrees` says whether the uncalibrated ratio
 moves in the same direction as the calibrated one.  A run that fails to
-produce its result line stops the script with exit 2.  Progress goes to
-stderr.
+produce its result line or its calibration loop line stops the script with
+exit 2.  Progress goes to stderr.
 
 The script refuses to start, with exit 2, while either checkout has a
 `__pycache__` directory under `src/`: cached bytecode skips compilation, so
@@ -98,11 +98,14 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         sys.exit(2)
     result = json.loads(lines[-1])
     raw = UNCALIBRATED.search(done.stdout)
+    if raw is None:
+        print(f"error: {checkout}: {workload} seed {seed} printed no calibration loop line",
+              file=sys.stderr)
+        sys.exit(2)
     return {"correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"], "wall_s": round(time.perf_counter() - started, 3),
             "metrics": {name: m["value"] for name, m in result["metrics"].items()},
-            "uncalibrated": {name: float(value) for name, value in raw.groupdict().items()}
-            if raw else {}}
+            "uncalibrated": {name: float(value) for name, value in raw.groupdict().items()}}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -118,8 +121,6 @@ def summarize(runs: list[dict], metrics: list[dict], key: str = "metrics") -> di
     out = {}
     for metric in metrics:
         name, higher = metric["name"], metric["better"] == "higher"
-        if not all(name in r[side][key] for r in runs for side in ("parent", "change")):
-            continue
         parent = [r["parent"][key][name] for r in runs]
         change = [r["change"][key][name] for r in runs]
         q1, parent_median, q3 = quartiles(parent)
