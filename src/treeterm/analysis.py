@@ -13,7 +13,7 @@ import string
 from collections.abc import Iterator, Sequence
 from itertools import chain
 
-from .terms import Pattern, PNode, PVar, PWild, Record, pattern_subst
+from .terms import Pattern, PLeaf, PNode, PVar, PWild, Record, pattern_subst
 from .typecheck import ValidatedSystem
 
 
@@ -193,38 +193,68 @@ def is_nontrivial(scc: tuple[int, ...], g: DependencyGraph) -> bool:
 # ---------------------------------------------------------------------------
 # Pattern embedding
 
-def _has_wildcard(p: Pattern) -> bool:
-    if isinstance(p, PWild):
-        return True
-    if isinstance(p, PNode):
-        return _has_wildcard(p.left) or _has_wildcard(p.right)
-    return False
+NONE, WEAK, STRICT = 0, 1, 2
+# the code of two nodes when no child of the first embeds the second, from their children's
+_JOIN = ((NONE, NONE, NONE), (NONE, WEAK, STRICT), (NONE, STRICT, STRICT))
 
 
-def embeds_strict(p: Pattern, q: Pattern) -> bool:
-    """p strictly embeds q: q fits inside a proper sub-shape of p.
+def _subterms(p: Pattern) -> list[tuple[object, int, int]] | None:
+    """The subterms of p, children first, or None if p holds a wildcard: a
+    node as (None, left, right), with its children's positions, and any
+    other as (key, -1, -1), keyed by its variable, or 0 for leaf, 1 for bot."""
+    order, work = [], [p]
+    while work:  # root, right, left: the reverse lists children first
+        x = work.pop()
+        if type(x) is PWild:
+            return None
+        order.append(x)
+        if type(x) is PNode:
+            work += (x.left, x.right)
+    order.reverse()
+    at: dict[int, int] = {}
+    for i, x in enumerate(order):
+        at.setdefault(id(x), i)
+    return [(None, at[id(x.left)], at[id(x.right)]) if type(x) is PNode
+            else (x.name if type(x) is PVar else 0 if type(x) is PLeaf else 1, -1, -1)
+            for x in order]
 
-    Wildcards stand for unknown shapes, so any wildcard occurrence defeats
-    the strict relation.
+
+def decrease(p: Pattern, q: Pattern) -> int:
+    """How p embeds q: STRICT when q fits inside a proper sub-shape of p,
+    else WEAK when they are equal, else NONE; p weakly embeds q unless NONE.
+
+    A wildcard on either side leaves only equality.  Otherwise p strictly
+    embeds q when a child of p weakly embeds q, or when both are nodes and
+    one child of p strictly embeds the same child of q and the other weakly.
+    For two nodes, every pair of their subterms is decided once, children
+    first, into a table of |p|·|q| codes, as in the dynamic programs for
+    tree inclusion (Kilpeläinen & Mannila, SIAM J. Comput. 24, 1995).
     """
-    if _has_wildcard(p) or _has_wildcard(q):
-        return False
-    if not isinstance(p, PNode):
-        return False
-    if embeds_weak(p.left, q) or embeds_weak(p.right, q):
-        return True
-    if isinstance(q, PNode):
-        return (
-            embeds_strict(p.left, q.left) and embeds_weak(p.right, q.right)
-        ) or (
-            embeds_weak(p.left, q.left) and embeds_strict(p.right, q.right)
-        )
-    return False
-
-
-def embeds_weak(p: Pattern, q: Pattern) -> bool:
-    """Syntactic equality or strict embedding."""
-    return p == q or embeds_strict(p, q)
+    if p is q or type(p) is not PNode or type(q) is PWild:
+        return WEAK if p is q or p == q else NONE
+    if type(q) is not PNode:  # a variable, leaf or bot: strict when it occurs in p
+        found, work = False, [p.left, p.right]
+        while work:
+            x = work.pop()
+            if type(x) is PNode:
+                work += (x.left, x.right)
+            elif type(x) is PWild:
+                return NONE
+            elif x == q:
+                found = True
+        return STRICT if found else NONE
+    ps, qs = _subterms(p), _subterms(q)
+    if ps is None or qs is None:
+        return WEAK if p == q else NONE
+    rows: list[list[int]] = []
+    for key, pl, pr in ps:
+        if key is not None:
+            rows.append([WEAK if k == key else NONE for k, _, _ in qs])
+        else:
+            left, right = rows[pl], rows[pr]
+            rows.append([STRICT if left[j] or right[j] else NONE if k is not None
+                         else _JOIN[left[ql]][right[qr]] for j, (k, ql, qr) in enumerate(qs)])
+    return rows[-1][-1]
 
 
 # ---------------------------------------------------------------------------
@@ -309,14 +339,10 @@ def check_scc(
         gi = indices[dp.rhs_symbol]
         if not (1 <= fi <= len(dp.lhs_args)) or not (1 <= gi <= len(dp.rhs_args)):
             raise ValueError(f"index assignment out of range for node {i}")
-        p = dp.lhs_args[fi - 1]
-        q = dp.rhs_args[gi - 1]
-        if embeds_strict(p, q):
-            strict.append(i)
-        elif embeds_weak(p, q):
-            weak.append(i)
-        else:
+        code = decrease(dp.lhs_args[fi - 1], dp.rhs_args[gi - 1])
+        if code == NONE:
             return result(failing_node=i)
+        (strict if code == STRICT else weak).append(i)
     # Only the weak nodes' successors are read: scanning every edge here
     # would cost O(E) per component and candidate assignment.
     return result(cycle=find_cycle(weak, g.adjacency))
@@ -332,22 +358,24 @@ def find_indices(scc: tuple[int, ...], g: DependencyGraph) -> SccCheck:
     with `check_scc`: the first that works, or else the first with the
     longest prefix of passing nodes, with the number of assignments as its
     `search_space`.  A depth-first search over the sorted symbols finds it
-    without visiting them all.  Each node carries a table
-    of which index pairs weakly decrease and is checked at the later of its
-    two symbols; a branch is cut once a decided node fails at a position no
-    later than the best prefix found so far, since every assignment below it
-    fails there too and comes later.  `check_scc` runs only on assignments
-    where every node passes, and once more on the near-miss it reports.
+    from one table per node of the `decrease` codes of its index pairs.  A
+    node is checked at the later of its two symbols; a branch is cut once a
+    decided node fails at a position no later than the best prefix found so
+    far, since every assignment below it fails there too and comes later.
+    A node is surely non-strict when no index pair makes it strict, or once
+    its pair is chosen and is not.  If these nodes hold a cycle, no
+    assignment below works (forward checking, Haralick & Elliott, 1980): a
+    leaf where every node passes works exactly when they hold none, and once
+    one has failed, it is the best near-miss and such branches are cut.
+    `check_scc` runs once, on the result.
     """
     arity: dict[str, int] = {}
     for i in scc:
         dp = g.nodes[i]
         arity.setdefault(dp.lhs_symbol, len(dp.lhs_args))
     for i in scc:
-        dp = g.nodes[i]
-        if dp.rhs_symbol not in arity:
-            # cannot happen for a component with internal edges
-            raise ValueError(f"symbol {dp.rhs_symbol!r} never occurs as a caller in the component")
+        if (callee := g.nodes[i].rhs_symbol) not in arity:  # never in a component with internal edges
+            raise ValueError(f"symbol {callee!r} never occurs as a caller in the component")
     symbols = sorted(arity)
     space = math.prod(arity[s] for s in symbols)
     if space == 0:
@@ -355,47 +383,57 @@ def find_indices(scc: tuple[int, ...], g: DependencyGraph) -> SccCheck:
     if space == 1:  # one candidate: no tables to build
         return check_scc(scc, g, dict.fromkeys(symbols, 1), space)
     level = {s: d for d, s in enumerate(symbols)}
-    # checks[d]: (position in scc, caller level, callee level, weak table)
-    # for the nodes whose later symbol is symbols[d]
-    checks: list[list[tuple[int, int, int, list[list[bool]]]]] = [[] for _ in symbols]
+    # checks[d]: (position in scc, caller level, callee level, decrease
+    # table) for the nodes whose later symbol is symbols[d]
+    checks: list[list[tuple[int, int, int, list[list[int]]]]] = [[] for _ in symbols]
+    never = []  # the nodes that no index pair makes strict
     for pos, i in enumerate(scc):
         dp = g.nodes[i]
         kf, kg = arity[dp.lhs_symbol], arity[dp.rhs_symbol]
         if kf > len(dp.lhs_args) or kg > len(dp.rhs_args):
             raise ValueError(f"index assignment out of range for node {i}")
-        table = [[embeds_weak(p, q) for q in dp.rhs_args[:kg]] for p in dp.lhs_args[:kf]]
+        table = [[decrease(p, q) for q in dp.rhs_args[:kg]] for p in dp.lhs_args[:kf]]
         a, b = level[dp.lhs_symbol], level[dp.rhs_symbol]
         checks[max(a, b)].append((pos, a, b, table))
-
+        if not any(STRICT in row for row in table):
+            never.append(i)
     size, last = len(scc), len(symbols) - 1
     chosen = [-1] * len(symbols)  # zero-based index per level
     # first_fail[d]: the earliest position failing among nodes checked
-    # above level d, or `size` when none fails
+    # above level d, or `size` when none fails; sure[d]: the nodes surely
+    # non-strict above level d, and cyclic[d]: whether they hold a cycle
     first_fail = [size] * len(symbols)
-    best: tuple[int, ...] | None = None
-    best_score = -1
-    d = 0
+    sure = [frozenset(never)] * len(symbols)
+    cyclic = [find_cycle(never, g.adjacency) is not None] * len(symbols)
+    best, best_score, d = None, -1, 0
     while d >= 0:
         if chosen[d] + 1 == arity[symbols[d]]:
             chosen[d] = -1
             d -= 1
             continue
         chosen[d] += 1
-        fail = first_fail[d]
+        fail, new = first_fail[d], []
         for pos, a, b, table in checks[d]:
-            if pos < fail and not table[chosen[a]][chosen[b]]:
+            code = table[chosen[a]][chosen[b]]
+            if code == WEAK:
+                new.append(scc[pos])
+            elif code == NONE and pos < fail:
                 fail = pos
         if fail < size and fail <= best_score:
             continue  # nothing below can work or beat the best near-miss
+        below = sure[d].union(new) if new else sure[d]
+        # a cycle that is new passes through a new node and its successor there
+        grown = len(below) > len(sure[d]) and any(w in below for v in new for w in g.adjacency[v])
+        cycle = cyclic[d] or grown and find_cycle(list(below), g.adjacency) is not None
+        if cycle and best_score == size:
+            continue  # nothing below can work or beat the best near-miss
         if d < last:
-            first_fail[d + 1] = fail
+            first_fail[d + 1], sure[d + 1], cyclic[d + 1] = fail, below, cycle
             d += 1
             continue
         combo = tuple(c + 1 for c in chosen)
-        if fail == size:
-            result = check_scc(scc, g, dict(zip(symbols, combo)), space)
-            if result.ok:
-                return result
+        if fail == size and not cycle:
+            return check_scc(scc, g, dict(zip(symbols, combo)), space)
         if fail > best_score:
             best, best_score = combo, fail
     assert best is not None

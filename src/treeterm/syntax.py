@@ -1,7 +1,7 @@
 """The textual .trs format of pattern-refined tree rewrite systems: the
 scan, which reads the kinds and texts of all tokens with one regex over the
 whole text; the tokenizer, which alone knows lines and columns and runs the
-same regex over each line once a location or an error is first read; the
+same regex over the whole text once a location or an error is first read; the
 recursive-descent parser, which reads the scan's lists and each rule's
 left-hand side into its head, patterns and constructor terms; and the printers.
 
@@ -89,21 +89,24 @@ def _kind(text: str) -> str:
 
 
 def tokenize(text: str) -> list[Token]:
-    """The tokens of text with their lines and columns.  Only "\\n" ends a
-    line, and `_SCAN_RE` reads each line, where "\\r" is a blank."""
+    """The tokens of text with their lines and columns, from one `_SCAN_RE`
+    scan of the whole text.  Only "\\n" ends a line, and "\\r" is a blank;
+    the line breaks are counted between consecutive tokens only."""
     tokens: list[Token] = []
-    append, kinds, scan_line = tokens.append, {}, _SCAN_RE.finditer
-    lines = text.split("\n")
-    for line, chars in enumerate(lines, 1):
-        for m in scan_line(chars):
-            value = m[1]
-            if not value:  # the end of the line
-                break
-            kind = kinds.get(value) or kinds.setdefault(value, _kind(value))
-            if kind == "other":
-                raise ParseError(f"unexpected character {value!r}", line, m.start(1) + 1)
-            append((kind, value, line, m.start(1) + 1))
-    append(("eof", "", len(lines), len(lines[-1]) + 1))
+    append, kinds = tokens.append, {}
+    line, line_start, last = 1, 0, 0  # line_start: where the current line begins
+    for m in _SCAN_RE.finditer(text):
+        start, value = m.start(1), m[1]
+        line += text.count("\n", last, start)
+        line_start = max(line_start, text.rfind("\n", last, start) + 1)
+        last = start
+        if not value:  # the end of the text
+            break
+        kind = kinds.get(value) or kinds.setdefault(value, _kind(value))
+        if kind == "other":
+            raise ParseError(f"unexpected character {value!r}", line, start - line_start + 1)
+        append((kind, value, line, start - line_start + 1))
+    append(("eof", "", line, last - line_start + 1))
     return tokens
 
 

@@ -169,8 +169,7 @@ def decompose_symbol(name: str, info: SymbolInfo) -> Split:
         domains.append(rest.dom)
         rest = rest.cod
     for i, dom in enumerate(domains):
-        want = Base(PVar(quants[i]))
-        if dom != want:
+        if not (type(dom) is Base and type(dom.pattern) is PVar and dom.pattern.name == quants[i]):
             raise TypeCheckError(
                 "E-SIG-SHAPE",
                 f"recursive argument {i + 1} of symbol {name!r} must have type "

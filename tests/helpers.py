@@ -11,6 +11,9 @@ from collections import defaultdict, deque
 from itertools import count, permutations, product
 
 from treeterm.analysis import (
+    NONE,
+    STRICT,
+    WEAK,
     DependencyGraph,
     DependencyPair,
     SccCheck,
@@ -94,6 +97,46 @@ def pattern_size(p: Pattern) -> int:
     if isinstance(p, PNode):
         return 1 + pattern_size(p.left) + pattern_size(p.right)
     return 0
+
+
+def _has_wildcard(p: Pattern) -> bool:
+    if isinstance(p, PWild):
+        return True
+    if isinstance(p, PNode):
+        return _has_wildcard(p.left) or _has_wildcard(p.right)
+    return False
+
+
+def embeds_strict(p: Pattern, q: Pattern) -> bool:
+    """p strictly embeds q: q fits inside a proper sub-shape of p.
+
+    Wildcards stand for unknown shapes, so any wildcard occurrence defeats
+    the strict relation.  The recursive definition, exponential in the depth
+    of p; `analysis.decrease` decides it once per pair of subterms.
+    """
+    if _has_wildcard(p) or _has_wildcard(q):
+        return False
+    if not isinstance(p, PNode):
+        return False
+    if embeds_weak(p.left, q) or embeds_weak(p.right, q):
+        return True
+    if isinstance(q, PNode):
+        return (
+            embeds_strict(p.left, q.left) and embeds_weak(p.right, q.right)
+        ) or (
+            embeds_weak(p.left, q.left) and embeds_strict(p.right, q.right)
+        )
+    return False
+
+
+def embeds_weak(p: Pattern, q: Pattern) -> bool:
+    """Syntactic equality or strict embedding."""
+    return p == q or embeds_strict(p, q)
+
+
+def reference_decrease(p: Pattern, q: Pattern) -> int:
+    """The code `analysis.decrease` gives, from the two relations above."""
+    return STRICT if embeds_strict(p, q) else WEAK if embeds_weak(p, q) else NONE
 
 
 def subst_pattern(t: RefinementType, var: str, p: Pattern) -> RefinementType:
@@ -936,3 +979,38 @@ def patlam_text(k: int) -> str:
     abstraction = "".join(f"/\\b{p}. " for p in range(k))
     return (f"symbol h : B(leaf) -> {quantified} recursive 0;\n"
             f"rule h -> \\z:B(leaf). {abstraction}\\x:B(b0). x;\n")
+
+
+def all_weak_text(n: int, k: int) -> str:
+    """all-weak-n×k: a ring of n symbols with k tree arguments, each rule
+    calling the next symbol on the same k `Leaf`s.  Every index pair
+    decreases weakly and none strictly, so no assignment works."""
+    params = [f"a{p}" for p in range(k)]
+    arrows = " -> ".join(f"B({a})" for a in params)
+    leaves, trees = ",".join(["leaf"] * k), " ".join(["Leaf"] * k)
+    lines = [f"symbol f{i} : forall {' '.join(params)}. {arrows} -> B(leaf) recursive {k};"
+             for i in range(n)]
+    lines += [f"rule f{i}[{leaves}] {trees} -> f{(i + 1) % n}[{leaves}] {trees};" for i in range(n)]
+    return "\n".join(lines) + "\n"
+
+
+def deep_pattern_text(d: int) -> str:
+    """deep-pattern-d: one rule whose first pattern is a left spine of d
+    nodes over `leaf`, and whose call passes the same spine over the
+    variable c.  Deciding the first index pair walks both spines and finds
+    no decrease; the second decreases only weakly, so the verdict is
+    UNKNOWN."""
+    def spine(p: str) -> str:
+        for _ in range(d):
+            p = f"node({p},leaf)"
+        return p
+
+    def tree(p: str, bottom: str) -> str:
+        # a tree of type B(spine(p)) with `bottom` of type B(p) at its bottom
+        for _ in range(d):
+            bottom, p = f"(Node[{p},leaf] {bottom} Leaf)", f"node({p},leaf)"
+        return bottom
+
+    return ("symbol f : forall a b. B(a) -> B(b) -> B(_) recursive 2;\n"
+            f"rule f[{spine('leaf')}, c] {tree('leaf', 'Leaf')} y -> "
+            f"f[{spine('c')}, c] {tree('c', 'y')} y;\n")

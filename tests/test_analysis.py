@@ -5,12 +5,14 @@ import pytest
 
 from treeterm import analysis
 from treeterm.analysis import (
+    NONE,
+    STRICT,
+    WEAK,
     DependencyPair,
     build_graph,
     check_criterion,
     check_scc,
-    embeds_strict,
-    embeds_weak,
+    decrease,
     extract_dps,
     find_cycle,
     find_indices,
@@ -24,9 +26,14 @@ from treeterm.terms import pattern_subst
 from treeterm.typecheck import validate_system
 from conftest import APP_PATH, FGIH_PATH, SYSTEMS, load_validated
 from helpers import (
+    all_weak_text,
     clique_text,
+    deep_pattern_text,
+    embeds_strict,
+    embeds_weak,
     graph_from_edges,
     reference_edges,
+    reference_find_indices,
     ring_text,
     successors,
     unify_patterns,
@@ -339,13 +346,41 @@ def test_sccs_on_deep_graphs_do_not_recurse(closed):
 def test_pattern_embedding_table(p, q, strict, weak):
     assert embeds_strict(pat(p), pat(q)) is strict
     assert embeds_weak(pat(p), pat(q)) is weak
+    assert decrease(pat(p), pat(q)) == (STRICT if strict else WEAK if weak else NONE)
+
+
+def test_decrease_work_is_quadratic_in_the_pattern_depth(monkeypatch):
+    # The recursive definition revisits the same subterm pairs, about 3^d
+    # calls for two spines of depth d: deep-pattern-12 took 2.8 s and
+    # deep-pattern-14 9.3 s to check.  `decrease` lists the subterms of both
+    # patterns once and fills one table cell per pair of them, so the cells
+    # count its work; a pattern against a variable, leaf or bot is a walk
+    # of the pattern alone.  Doubling d doubles both lists: ×4, bounded at
+    # ×4.5.
+    cells = []
+
+    def listing(p):
+        out = subterms(p)
+        cells.append(len(out) if out is not None else 0)
+        return out
+
+    subterms = analysis._subterms
+    monkeypatch.setattr(analysis, "_subterms", listing)
+    work = {}
+    for d in (20, 40):
+        cells.clear()
+        verdict = check_criterion(system(deep_pattern_text(d)))
+        assert not verdict.terminating and dict(verdict.failure.indices) == {"f": 2}
+        work[d] = sum(cells[i] * cells[i + 1] for i in range(0, len(cells), 2))
+    assert work[20] > 0
+    assert work[40] <= 4.5 * work[20]
 
 
 def test_strict_embedding_is_transitive_on_samples():
     chain = ["node(node(node(leaf,leaf),leaf),bot)", "node(node(leaf,leaf),leaf)", "node(leaf,leaf)", "leaf"]
     for i in range(len(chain)):
         for j in range(i + 1, len(chain)):
-            assert embeds_strict(pat(chain[i]), pat(chain[j]))
+            assert decrease(pat(chain[i]), pat(chain[j])) == STRICT
 
 
 # ---------------------------------------------------------------------------
@@ -449,12 +484,8 @@ def test_find_indices_reports_best_near_miss():
     assert found.failing_node == 0
 
 
-@pytest.mark.parametrize("j", [None, 3])
-def test_find_indices_runs_check_scc_on_few_candidates(j, monkeypatch):
-    # wide-8×4 has 4^8 assignments, and trying them in order took 65536
-    # check_scc calls in both cases: with j=3 the certificate, ι=4
-    # everywhere, is the last one.  Only the k assignments with equal
-    # indices pass every node, plus the reported near-miss.
+def count_check_scc(monkeypatch) -> list[dict[str, int]]:
+    """The index assignments of every later `check_scc` call."""
     calls = []
 
     def counting(scc, g, indices, search_space):
@@ -462,9 +493,64 @@ def test_find_indices_runs_check_scc_on_few_candidates(j, monkeypatch):
         return check_scc(scc, g, indices, search_space)
 
     monkeypatch.setattr(analysis, "check_scc", counting)
+    return calls
+
+
+@pytest.mark.parametrize("j", [None, 3])
+def test_find_indices_runs_check_scc_on_few_candidates(j, monkeypatch):
+    # wide-8×4 has 4^8 assignments, and trying them in order took 65536
+    # check_scc calls in both cases: with j=3 the certificate, ι=4
+    # everywhere, is the last one.  Only the k assignments with equal
+    # indices pass every node; the tables decide each of them, so
+    # check_scc runs once, on the result.
+    calls = count_check_scc(monkeypatch)
     verdict = check_criterion(system(wide_text(8, 4, j)))
     assert verdict.terminating == (j is not None)
-    assert len(calls) <= 4 + 1
+    assert len(calls) == 1
+
+
+def test_all_weak_search_stops_at_the_first_leaf(monkeypatch):
+    # all-weak-16×4 has 4^16 assignments, and every one passes every node
+    # weakly; the nodes that no index pair makes strict hold the ring, so
+    # the first assignment is the near-miss, found without trying another.
+    calls = count_check_scc(monkeypatch)
+    verdict = check_criterion(system(all_weak_text(16, 4)))
+    failure = verdict.failure
+    assert failure.search_space == 4 ** 16
+    assert dict(failure.indices) == {f"f{i}": 1 for i in range(16)}
+    assert failure.failing_node is None and sorted(failure.cycle) == list(range(16))
+    assert len(calls) == 1
+
+
+def strict_only_where_it_breaks(n: int, k: int) -> str:
+    """all-weak-n×k with f0's first pattern made `node(leaf,leaf)`, in its
+    own rule and in the call that the last symbol makes to it.  Under ι(f0)
+    = 1, f0's pair decreases strictly and the last symbol's pair cannot
+    decrease at all, since `leaf` does not embed `node(leaf,leaf)`; under
+    any other ι(f0) every pair decreases weakly and the ring stays weak.
+    The pairs that no index makes strict form a path, not a cycle, so the
+    search cannot stop at its root."""
+    big, trees = "node(leaf,leaf)", " ".join(["Leaf"] * (k - 1))
+    rest = ",leaf" * (k - 1)
+    text = all_weak_text(n, k)
+    text = text.replace(f"rule f0[leaf{rest}] Leaf {trees}",
+                        f"rule f0[{big}{rest}] (Node[leaf,leaf] Leaf Leaf) {trees}")
+    return text.replace(f"-> f0[leaf{rest}] Leaf {trees}",
+                        f"-> f0[{big}{rest}] (Node[leaf,leaf] Leaf Leaf) {trees}")
+
+
+def test_forward_check_cuts_what_the_root_cannot_settle(monkeypatch):
+    g = build_graph(extract_dps(system(strict_only_where_it_breaks(4, 3))))
+    assert sccs(g) == [(0, 1, 2, 3)]
+    assert find_indices((0, 1, 2, 3), g) == reference_find_indices((0, 1, 2, 3), g)
+    # n = 12: 3^12 assignments.  Once ι(f0) = 2 has passed every node,
+    # every branch is cut where its surely non-strict pairs close the ring.
+    calls = count_check_scc(monkeypatch)
+    failure = check_criterion(system(strict_only_where_it_breaks(12, 3))).failure
+    assert failure.search_space == 3 ** 12
+    assert dict(failure.indices) == {"f0": 2, **{f"f{i}": 1 for i in range(1, 12)}}
+    assert failure.failing_node is None and sorted(failure.cycle) == list(range(12))
+    assert len(calls) == 1
 
 
 def test_criterion_wide_12x4_shrinking():

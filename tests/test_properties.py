@@ -8,10 +8,11 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from treeterm.analysis import (
+    STRICT,
+    WEAK,
     DependencyPair,
     build_graph,
-    embeds_strict,
-    embeds_weak,
+    decrease,
     find_indices,
     pattern_unifiable,
     sccs,
@@ -72,6 +73,7 @@ from treeterm.typecheck import (
 from conftest import APP_PATH, FGIH_PATH, NONMINIMAL_PATH, load
 from helpers import (
     CHOICE_TEXT,
+    PVAR_POOL,
     alpha_eq_erased,
     alpha_eq_type,
     closed_pattern_above,
@@ -90,6 +92,7 @@ from helpers import (
     random_system,
     random_type,
     random_valuation,
+    reference_decrease,
     reference_edges,
     reference_find_indices,
     reference_normalize,
@@ -562,17 +565,22 @@ INDEX_PATTERNS = (_A, _B, PLeaf(), PBottom(), PWild(), PNode(_A, _B),
 @st.composite
 def index_components(draw):
     """A component for the index search: 1-4 symbols of arity 1-3, 1-6
-    pairs between them and random edges.  Most callee patterns come from the
-    caller's own patterns or their subpatterns, so decreases are common."""
+    pairs between them and random edges, which need not make it strongly
+    connected.  Most callee patterns come from the caller's own patterns or
+    their subpatterns, so decreases are common.  In a third of the draws
+    they are the caller's own patterns only, so that most pairs decrease
+    weakly or not at all, and often none strictly."""
     symbols = "fghi"[:draw(st.integers(1, 4))]
     arity = {s: draw(st.integers(1, 3)) for s in symbols}
     callers = draw(st.lists(st.sampled_from(symbols), min_size=1, max_size=6))
+    weak_only = draw(st.integers(0, 2)) == 0
     nodes = []
     for f in callers:
         lhs = tuple(draw(st.sampled_from(INDEX_PATTERNS)) for _ in range(arity[f]))
         below = st.sampled_from(lhs).flatmap(
             lambda p: st.sampled_from((p, p.left, p.right) if isinstance(p, PNode) else (p,)))
-        callee = st.one_of(below, below, below, st.sampled_from(INDEX_PATTERNS))
+        callee = (st.sampled_from(lhs) if weak_only
+                  else st.one_of(below, below, below, st.sampled_from(INDEX_PATTERNS)))
         g = draw(st.sampled_from(sorted(set(callers))))
         nodes.append(DependencyPair(f, lhs, g, tuple(draw(callee) for _ in range(arity[g]))))
     node = st.integers(0, len(nodes) - 1)
@@ -609,9 +617,8 @@ def test_index_search_matches_exhaustive_enumeration(component):
 def test_strict_embedding_implies_weak_and_shrinks(rng):
     q = random_closed_pattern(rng, 2, wild=False)
     t = strictly_above_pattern(rng, q)
-    assert embeds_strict(t, q)
-    assert embeds_weak(t, q)
-    assert not embeds_strict(q, q)
+    assert decrease(t, q) == STRICT
+    assert decrease(q, q) == WEAK
     assert pattern_size(t) > pattern_size(q)
 
 
@@ -619,8 +626,39 @@ def test_strict_embedding_implies_weak_and_shrinks(rng):
 def test_weak_embedding_never_grows(rng):
     q = random_closed_pattern(rng, 2, wild=False)
     t = weakly_above_pattern(rng, q)
-    assert embeds_weak(t, q)
+    assert decrease(t, q) in (WEAK, STRICT)
     assert pattern_size(t) >= pattern_size(q)
+
+
+def subpatterns(p):
+    """p and every pattern below it."""
+    out, todo = [], [p]
+    while todo:
+        out.append(todo.pop())
+        if isinstance(out[-1], PNode):
+            todo += (out[-1].left, out[-1].right)
+    return out
+
+
+@given(rngs())
+@settings(max_examples=400)
+def test_decrease_agrees_with_reference(rng):
+    # patterns over two variables, leaf, bot and, in half the draws,
+    # wildcards; q is drawn apart from p, below p, or as a node over a
+    # pattern below p, and both directions are compared, so that strict
+    # decreases, equal subpatterns and wildcards under a node all come up
+    wild = rng.random() < 0.5
+    p = random_pattern(rng, rng.randint(0, 4), PVAR_POOL[:2], wild=wild)
+    kind = rng.choice(("apart", "below", "wrapped"))
+    if kind == "apart":
+        q = random_pattern(rng, rng.randint(0, 3), PVAR_POOL[:2], wild=wild)
+    else:
+        q = rng.choice(subpatterns(p))
+    if kind == "wrapped":
+        other = random_pattern(rng, 1, PVAR_POOL[:2], wild=wild)
+        q = PNode(q, other) if rng.random() < 0.5 else PNode(other, q)
+    assert decrease(p, q) == reference_decrease(p, q)
+    assert decrease(q, p) == reference_decrease(q, p)
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,7 @@ def test_time_stages_times_every_stage_of_one_tree_on_both_sides(capsys):
     assert header.split() == ["stage", "old", "new", "new/old"]
     assert [row.split()[0] for row in rows] == [
         "scan", "tokenize", "parse_system", "validate_system", "extract_dps", "build_graph",
-        "sccs", "check_criterion", "build_report", "report_to_json"]
+        "sccs", "find_indices", "check_criterion", "build_report", "report_to_json"]
     for row in rows:
         old, new, ratio = map(float, row.split()[1:])
         assert old > 0 and new > 0 and ratio > 0
@@ -104,6 +104,28 @@ def test_time_stages_refuses_a_wide_self_size_it_cannot_time(capsys, argv):
         time_stages.main([src, src, *argv])
     assert exit_info.value.code == 2
     assert "--wide-self" in capsys.readouterr().err
+
+
+def test_time_stages_times_one_system_file(capsys):
+    time_stages = load_tool("time_stages")
+    src = str(TOOLS.parent / "src")
+    fixture = TOOLS.parent / "systems" / "all-weak-4x3.trs"
+    assert time_stages.main([src, src, "--system", str(fixture), "--rounds", "2"]) == 0
+    title, header, *rows = capsys.readouterr().out.splitlines()
+    assert title == "all-weak-4x3.trs, 2 rounds: median ms per op"
+    assert [row.split()[0] for row in rows] == list(time_stages.STAGES)
+    assert all(float(row.split()[1]) > 0 for row in rows)
+
+
+@pytest.mark.parametrize("argv", [["--system", "no-such-file.trs"],
+                                  ["--system", "systems/app.trs", "--wide-self", "3"]])
+def test_time_stages_refuses_a_system_it_cannot_time(capsys, argv):
+    time_stages = load_tool("time_stages")
+    src = str(TOOLS.parent / "src")
+    with pytest.raises(SystemExit) as exit_info:
+        time_stages.main([src, src, *argv])
+    assert exit_info.value.code == 2
+    assert "--system" in capsys.readouterr().err
 
 
 RUN_STDOUT = """workload wide, seed 1, 72 ops per pass

@@ -5,6 +5,7 @@ child processes.
     python3 tools/time_stages.py OLD_SRC NEW_SRC --workload W --seed S
     python3 tools/time_stages.py OLD_SRC NEW_SRC --ring-800
     python3 tools/time_stages.py OLD_SRC NEW_SRC --wide-self K
+    python3 tools/time_stages.py OLD_SRC NEW_SRC --system FILE
 
 OLD_SRC and NEW_SRC are directories holding a `treeterm` package, such as
 the `src/` of two checkouts.  The ops are the check ops of perfbench
@@ -13,7 +14,8 @@ workload W (ring, clique or wide) for seed S, in their run order, built by
 the one system `ring_text(800)` instead, and `--wide-self K` the one system
 wide-self-K, perfbench's wide-1×K with no shrinking argument: a symbol with
 K recursive arguments and a rule that calls it on all of them, so that its
-right-hand side applies it to K patterns.
+right-hand side applies it to K patterns.  `--system FILE` times the one
+system in the `.trs` file FILE, which must be valid.
 
 Each round runs one child process per tree, the old tree first in odd
 rounds and the new one first in even rounds, one process at a time.  A
@@ -24,10 +26,10 @@ only once a location is read, as for an error (the valid workload systems
 never run it inside `parse_system`), and of `parse_system` on the text,
 `validate_system` on the parsed system, the layers of the analysis on
 their own (`extract_dps` on the validated system, `build_graph` on its
-pairs and `sccs` on the graph), `check_criterion`, which runs all of the
-analysis again, on the validated system, and `build_report` and
-`report_to_json` on their results, all called as perfbench's check runner
-calls them.  A round's figure for a stage is its total time over the ops
+pairs, `sccs` on the graph and `find_indices` on each nontrivial
+component), `check_criterion`, which runs all of the analysis again, on the
+validated system, and `build_report` and `report_to_json` on their results,
+all called as perfbench's check runner calls them.  A round's figure for a stage is its total time over the ops
 divided by their number.  The script prints, per stage, the median of
 these figures over the rounds for each tree, in milliseconds per op, and
 the new/old ratio of the medians.  A stage that a tree does not have, such
@@ -49,7 +51,7 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 STAGES = ("scan", "tokenize", "parse_system", "validate_system", "extract_dps", "build_graph", "sccs",
-          "check_criterion", "build_report", "report_to_json")
+          "find_indices", "check_criterion", "build_report", "report_to_json")
 REPEAT = 3  # calls per stage and op; the fastest counts
 
 
@@ -63,7 +65,9 @@ def load_workloads():
     return module
 
 
-def texts(workload: str, seed: int, ops: int | None) -> list[str]:
+def texts(workload: str, seed: int, ops: int | None, system: Path | None = None) -> list[str]:
+    if system is not None:
+        return [system.read_text(encoding="utf-8")]
     workloads = load_workloads()
     if workload == "ring-800":
         return [workloads.ring_text(800)]
@@ -95,7 +99,9 @@ def time_stages(text: str, syntax, typecheck, analysis, report) -> dict[str, flo
         raise SystemExit(f"error: a workload system is invalid: {validated[0]}")
     seconds["extract_dps"], dps = best(analysis.extract_dps, validated)
     seconds["build_graph"], graph = best(analysis.build_graph, dps)
-    seconds["sccs"], _ = best(analysis.sccs, graph)
+    seconds["sccs"], components = best(analysis.sccs, graph)
+    nontrivial = [scc for scc in components if analysis.is_nontrivial(scc, graph)]
+    seconds["find_indices"], _ = best(lambda: [analysis.find_indices(scc, graph) for scc in nontrivial])
     seconds["check_criterion"], verdict = best(analysis.check_criterion, validated)
     outcome = "terminating" if verdict.terminating else "unknown"
     seconds["build_report"], doc = best(
@@ -105,12 +111,12 @@ def time_stages(text: str, syntax, typecheck, analysis, report) -> dict[str, flo
     return seconds
 
 
-def child(src: str, workload: str, seed: int, ops: int | None) -> None:
+def child(src: str, workload: str, seed: int, ops: int | None, system: Path | None) -> None:
     """Print one round's seconds per op of each stage as JSON."""
     sys.path.insert(0, src)
     from treeterm import analysis, report, syntax, typecheck
 
-    op_texts = texts(workload, seed, ops)
+    op_texts = texts(workload, seed, ops, system)
     time_stages(op_texts[0], syntax, typecheck, analysis, report)
     totals: dict[str, float] = {}
     for text in op_texts:
@@ -124,6 +130,7 @@ def run_child(src: Path, args: argparse.Namespace) -> dict[str, float]:
             "--seed", str(args.seed)]
     argv += (["--ops", str(args.ops)] if args.ops else []) + (["--ring-800"] if args.ring_800 else [])
     argv += ["--wide-self", str(args.wide_self)] if args.wide_self else []
+    argv += ["--system", str(args.system)] if args.system else []
     done = subprocess.run(argv, capture_output=True, text=True,
                           env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     if done.returncode != 0:
@@ -150,17 +157,22 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--ops", type=int, help="time only the first OPS ops of the run order")
     parser.add_argument("--ring-800", action="store_true", help="time ring_text(800) alone")
     parser.add_argument("--wide-self", type=int, metavar="K", help="time wide-self-K alone")
+    parser.add_argument("--system", type=Path, metavar="FILE", help="time the system in FILE alone")
     parser.add_argument("--rounds", type=int, default=6)
     parser.add_argument("--child", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.ring_800 and args.wide_self:
-        parser.error("give --ring-800 or --wide-self, not both")
+    if sum(map(bool, (args.ring_800, args.wide_self, args.system))) > 1:
+        parser.error("give at most one of --ring-800, --wide-self and --system")
+    if args.system is not None:
+        args.system = args.system.resolve()
+        if not args.system.is_file():
+            parser.error(f"--system: no file {args.system}")
     if args.wide_self is not None and args.wide_self < 1:
         parser.error(f"--wide-self: expected a positive integer, got {args.wide_self}")
     workload = ("ring-800" if args.ring_800 else f"wide-self-{args.wide_self}" if args.wide_self
                 else args.workload)
     if args.child:
-        child(args.child, workload, args.seed, args.ops)
+        child(args.child, workload, args.seed, args.ops, args.system)
         return 0
     if args.old is None or args.new is None:
         parser.error("give the old and the new src directory")
@@ -173,9 +185,9 @@ def main(argv: list[str] | None = None) -> int:
     for r in range(args.rounds):
         for side in ("old", "new") if r % 2 == 0 else ("new", "old"):
             figures[side].append(run_child(trees[side], args))
-    count = len(texts(workload, args.seed, args.ops))
+    count = len(texts(workload, args.seed, args.ops, args.system))
     title = ("ring_text(800)" if args.ring_800 else workload if args.wide_self
-             else f"{workload} seed {args.seed}, {count} ops")
+             else args.system.name if args.system else f"{workload} seed {args.seed}, {count} ops")
     print(f"{title}, {args.rounds} rounds: median ms per op")
     print(f"{'stage':<16}{'old':>10}{'new':>10}{'new/old':>10}")
     for stage in STAGES:
