@@ -194,7 +194,7 @@ def is_nontrivial(scc: tuple[int, ...], g: DependencyGraph) -> bool:
 # Pattern embedding
 
 NONE, WEAK, STRICT = 0, 1, 2
-# the code of two nodes when no child of the first embeds the second, from their children's
+# two nodes, no child of the first embedding the second: their code from their children's
 _JOIN = ((NONE, NONE, NONE), (NONE, WEAK, STRICT), (NONE, STRICT, STRICT))
 
 
@@ -211,9 +211,7 @@ def _subterms(p: Pattern) -> list[tuple[object, int, int]] | None:
         if type(x) is PNode:
             work += (x.left, x.right)
     order.reverse()
-    at: dict[int, int] = {}
-    for i, x in enumerate(order):
-        at.setdefault(id(x), i)
+    at = {id(x): i for i, x in reversed(list(enumerate(order)))}  # first positions
     return [(None, at[id(x.left)], at[id(x.right)]) if type(x) is PNode
             else (x.name if type(x) is PVar else 0 if type(x) is PLeaf else 1, -1, -1)
             for x in order]
@@ -243,9 +241,11 @@ def decrease(p: Pattern, q: Pattern) -> int:
             elif x == q:
                 found = True
         return STRICT if found else NONE
+    if p == q:
+        return WEAK
     ps, qs = _subterms(p), _subterms(q)
     if ps is None or qs is None:
-        return WEAK if p == q else NONE
+        return NONE
     rows: list[list[int]] = []
     for key, pl, pr in ps:
         if key is not None:

@@ -97,8 +97,8 @@ def tokenize(text: str) -> list[Token]:
     line, line_start, last = 1, 0, 0  # line_start: where the current line begins
     for m in _SCAN_RE.finditer(text):
         start, value = m.start(1), m[1]
-        line += text.count("\n", last, start)
-        line_start = max(line_start, text.rfind("\n", last, start) + 1)
+        if (nl := text.rfind("\n", last, start)) >= 0:
+            line, line_start = line + 1 + text.count("\n", last, nl), nl + 1
         last = start
         if not value:  # the end of the text
             break

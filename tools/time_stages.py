@@ -29,12 +29,12 @@ their own (`extract_dps` on the validated system, `build_graph` on its
 pairs, `sccs` on the graph and `find_indices` on each nontrivial
 component), `check_criterion`, which runs all of the analysis again, on the
 validated system, and `build_report` and `report_to_json` on their results,
-all called as perfbench's check runner calls them.  A round's figure for a stage is its total time over the ops
-divided by their number.  The script prints, per stage, the median of
-these figures over the rounds for each tree, in milliseconds per op, and
-the new/old ratio of the medians.  A stage that a tree does not have, such
-as `scan` before that function existed, prints `-`.  A child that fails
-stops the script with exit 2.
+all called as perfbench's check runner calls them.  A round's figure for a
+stage is its total time over the ops divided by their number.  The script
+prints, per stage, the median of these figures over the rounds for each
+tree, in milliseconds per op, and the new/old ratio of the medians.  A
+stage that a tree does not have, such as `scan` before that function
+existed, prints `-`.  A child that fails stops the script with exit 2.
 """
 from __future__ import annotations
 
