@@ -351,8 +351,8 @@ def test_pattern_embedding_table(p, q, strict, weak):
 
 def test_decrease_work_is_quadratic_in_the_pattern_depth(monkeypatch):
     # The recursive definition revisits the same subterm pairs, about 3^d
-    # calls for two spines of depth d: deep-pattern-12 took 2.8 s and
-    # deep-pattern-14 9.3 s to check.  `decrease` lists the subterms of both
+    # calls for two spines of depth d: `check` took 1.5 s on
+    # deep-pattern-12 and 9.3 s on deep-pattern-14.  `decrease` lists the subterms of both
     # patterns once and fills one table cell per pair of them, so the cells
     # count its work; a pattern against a variable, leaf or bot is a walk
     # of the pattern alone.  Doubling d doubles both lists: ×4, bounded at
