@@ -4,25 +4,23 @@ Rules fire by plain syntactic matching of their erased left-hand sides, beta
 redexes contract with capture-avoiding substitution, and both close under
 every term context including lambda bodies, so normal forms are strong.
 
-Normalization computes every normal form reachable from the start term, with
-one memo table of normal-form sets per call.  A term is *rigid* when the head
-of its application spine is `Node`, `Leaf` or a variable, or when it is a
-lambda.  A rigid term is never a redex at its root and stays rigid, so its
-arguments (a lambda's body) reduce independently: its normal forms are the
-head applied to every combination of theirs, and it diverges exactly when one
-of them does.  Only *flexible* terms, headed by a symbol or by an applied
-lambda, get an exhaustive depth-first search of their reduction graph, and a
-rigid state met there is answered from the memo.  Divergence is found
-exactly: a search that meets a state on its own stack has found a cycle, and
-a term whose normal forms are asked for while they are being computed
-reduces to a term that contains it.  No set of normal forms may grow past
-the fuel: each of them is a distinct reachable state, so a set that large
-means the reduction graph is larger than the fuel allows, and combining the
-forms of independent arguments cannot build more terms than that.
+Normalization is one post-order walk over the terms reachable from the
+start term, on an explicit stack, with one memo of normal-form sets per call,
+so each term is decided once.  A term is *rigid* when the head of its
+application spine is `Node`, `Leaf` or a variable, or when it is a lambda.
+A rigid term is never a redex at its root and stays rigid, so its children
+are its arguments (a lambda's body), which reduce independently: its normal
+forms are the head applied to every combination of theirs.  The children of
+a *flexible* term, headed by a symbol or by an applied lambda, are its
+one-step reducts, and its normal forms are the union of theirs, or the term
+itself when it has none.  Divergence is found exactly: a term met again while
+it is being decided lies on a cycle of reductions, or inside its own reduct.
+No set of normal forms may grow past the fuel: each of them is a distinct
+reachable term, so a set that large means the reduction graph is larger than
+the fuel allows, and combining the forms of independent arguments cannot
+build more terms than that.
 """
 from __future__ import annotations
-
-from typing import Iterator
 
 from .syntax import print_erased
 from .terms import (
@@ -145,12 +143,20 @@ def _step(t: ErasedTerm, rules: RuleIndex) -> dict[ErasedTerm, None]:
     return out
 
 
-def _rigid(t: ErasedTerm) -> bool:
+def _parts(t: ErasedTerm) -> list[ErasedTerm] | None:
+    """The parts of a rigid term: a lambda's body, or the head of an
+    application spine and its arguments in order; None for a flexible term."""
     if isinstance(t, ELam):
-        return True
+        return [t.body]
+    parts = []
     while isinstance(t, EApp):
+        parts.append(t.arg)
         t = t.fun
-    return isinstance(t, (ENode, ELeaf, EVar))
+    if isinstance(t, (ESym, ELam)):
+        return None
+    parts.append(t)
+    parts.reverse()
+    return parts
 
 
 def _has_lambda(t: ErasedTerm) -> bool:
@@ -174,127 +180,90 @@ class FuelExhausted(Record):
 
 ReductionOutcome = NormalForms | FuelExhausted
 
-
-class _Diverges(Exception):
-    """The search stops: a cycle, a term inside its own reduct, or no fuel."""
-
-    def __init__(self, frontier: tuple[ErasedTerm, ...]):
-        self.frontier = frontier
+# A frame of the walk: a term, whether it is rigid, its children and the
+# normal forms of those decided so far.
+_Frame = tuple[ErasedTerm, bool, list[ErasedTerm], list[tuple[ErasedTerm, ...]]]
 
 
-class _Reducer:
-    """The state of one `normalize` call.
-
-    `memo` maps each term whose normal forms were asked for (under its
-    alpha-canonical key when lambdas can occur) to those forms, or to None
-    while they are being computed.  `expanded` counts the flexible states
-    expanded so far, against `fuel`, which also caps each set of forms."""
-
-    def __init__(self, rules: RuleIndex, fuel: int, canonical: bool):
-        self.rules = rules
-        self.fuel = fuel
-        self.canonical = canonical
-        self.expanded = 0
-        self.memo: dict[ErasedTerm, tuple[ErasedTerm, ...] | None] = {}
-
-    def forms(self, t: ErasedTerm) -> tuple[ErasedTerm, ...]:
-        if t.inert:
-            return (t,)
-        if self.canonical:
-            t = alpha_canonical(t)
-        found = self.memo.get(t, ())  # one lookup: a term's forms are never empty
-        if found:
-            return found
-        if found is None:
-            raise _Diverges((t,))
-        self.memo[t] = None
-        found = self._split(t) if _rigid(t) else self._search(t)
-        self.memo[t] = found
-        return found
-
-    def _split(self, t: ErasedTerm) -> tuple[ErasedTerm, ...]:
-        """The normal forms of a rigid term, from those of its parts."""
-        if isinstance(t, ELam):
-            out = [ELam(t.binder, u) for u in self.forms(t.body)]
-        else:
-            args = []
-            head = t
-            while isinstance(head, EApp):
-                args.append(head.arg)
-                head = head.fun
-            choices = []
-            for a in reversed(args):  # a loop, not a comprehension: one frame less per level
-                choices.append(self.forms(a))
-            out = [head]
-            for forms in choices:
-                if len(out) * len(forms) > self.fuel:
-                    raise _Diverges((t,))
-                out = [EApp(f, u) for f in out for u in forms]
-        if self.canonical:
-            return tuple(alpha_canonical(v) for v in out)
-        return tuple(out)
-
-    def _search(self, root: ErasedTerm) -> tuple[ErasedTerm, ...]:
-        """Depth-first search of the flexible states reachable from root."""
-        normals: dict[ErasedTerm, None] = {}
-        color: dict[ErasedTerm, bool] = {}  # True while on the stack
-        stack: list[tuple[ErasedTerm, Iterator[ErasedTerm]]] = []
-
-        def push(k: ErasedTerm) -> None:
-            if self.expanded >= self.fuel:
-                raise _Diverges((k, *(s for s, _ in stack)))
-            self.expanded += 1
-            succ = _step(k, self.rules)
-            if self.canonical:
-                succ = dict.fromkeys(alpha_canonical(u) for u in succ)
-            if not succ:
-                normals[k] = None
-            color[k] = True
-            stack.append((k, iter(succ)))
-
-        push(root)
-        while stack:
-            k, it = stack[-1]
-            for w in it:
-                if _rigid(w):
-                    normals.update(dict.fromkeys(self.forms(w)))
-                    if len(normals) > self.fuel:
-                        raise _Diverges((w, *(s for s, _ in stack)))
-                    continue
-                on_stack = color.get(w)
-                if on_stack:
-                    raise _Diverges((w, *(s for s, _ in stack)))
-                if on_stack is None:
-                    push(w)
-                    break
-            else:
-                color[k] = False
-                stack.pop()
-        return tuple(normals)
+def _exhausted(stop: ErasedTerm, stack: list[_Frame], expanded: int) -> FuelExhausted:
+    """The outcome of a walk that stopped at `stop`: the frontier is that
+    term and the flexible terms above the last rigid one on the stack."""
+    frontier = [stop]
+    for term, rigid, _, _ in reversed(stack):
+        if rigid:
+            break
+        frontier.append(term)
+    return FuelExhausted(tuple(sorted(dict.fromkeys(frontier), key=print_erased)), expanded)
 
 
 def normalize(t: ErasedTerm, sys: RewriteSystem, fuel: int = 10000) -> ReductionOutcome:
     """Every normal form of t, or FuelExhausted if t may diverge.
 
-    Fuel counts expanded flexible states and also bounds the size of every
-    set of normal forms.  The outcome is FuelExhausted when the fuel runs
-    out, when a search meets a state on its own stack (a cycle), when a term
-    reduces to one that contains it, or when a term has more normal forms
-    than the fuel.  Its frontier is the search stack with the state it could
-    not take, or the term that reappeared or has too many forms.  Normal
-    forms are alpha-canonical.
+    One post-order walk on an explicit stack decides each term once, with
+    one memo from term to its normal forms (None while it is being
+    decided).  Fuel counts the flexible terms decided and also bounds the
+    size of every set of normal forms.  The outcome is FuelExhausted when
+    the fuel runs out, when a term is met again while it is being decided
+    (a cycle, or a term inside its own reduct), or when a term has more
+    normal forms than the fuel.  Its frontier is the term where the walk
+    stopped, with the flexible terms above the last rigid one on the stack.
+    Normal forms are alpha-canonical.
     """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
     rules = erased_rules(sys)
     canonical = _has_lambda(t) or any(_has_lambda(r.rhs) for r in rules)
-    reducer = _Reducer(rule_index(rules), fuel, canonical)
-    try:
-        forms = reducer.forms(t)
-    except _Diverges as stop:
-        frontier = tuple(sorted(dict.fromkeys(stop.frontier), key=print_erased))
-        return FuelExhausted(frontier=frontier, steps=reducer.expanded)
-    return NormalForms(frozenset(forms))
+    index = rule_index(rules)
+    memo: dict[ErasedTerm, tuple[ErasedTerm, ...] | None] = {}
+    expanded = 0
+    stack: list[_Frame] = [(t, True, [t], [])]  # the root, as the one part of a rigid frame
+    while True:
+        term, rigid, children, done = stack[-1]
+        if len(done) < len(children):
+            u = children[len(done)]
+            if u.inert:
+                done.append((u,))
+                continue
+            if canonical and rigid:  # a reduct is canonical already
+                u = alpha_canonical(u)
+            found = memo.get(u, ())  # one lookup: a term's forms are never empty
+            if found:
+                done.append(found)
+                continue
+            if found is None:
+                return _exhausted(u, stack, expanded)
+            parts = _parts(u)
+            if parts is None:
+                if expanded >= fuel:
+                    return _exhausted(u, stack, expanded)
+                expanded += 1
+                succ = _step(u, index)
+                if canonical:
+                    succ = dict.fromkeys(alpha_canonical(v) for v in succ)
+                stack.append((u, False, list(succ), []))
+            else:
+                stack.append((u, True, parts, []))
+            memo[u] = None
+            continue
+        if len(stack) == 1:
+            return NormalForms(frozenset(done[0]))
+        if not rigid:
+            forms = tuple(dict.fromkeys(v for f in done for v in f)) if done else (term,)
+            if len(forms) > fuel:
+                return _exhausted(term, stack, expanded)
+        else:
+            if isinstance(term, ELam):
+                out = [ELam(term.binder, v) for v in done[0]]
+            else:
+                out = list(done[0])  # the head
+                for f in done[1:]:
+                    if len(out) * len(f) > fuel:
+                        return _exhausted(term, stack, expanded)
+                    out = [EApp(g, v) for g in out for v in f]
+            forms = tuple(alpha_canonical(v) for v in out) if canonical else tuple(out)
+        memo[term] = forms
+        stack.pop()
+        stack[-1][3].append(forms)
 
 
 def pattern_form(v: ErasedTerm) -> Pattern:

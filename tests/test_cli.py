@@ -731,6 +731,16 @@ def deep_rhs_system(depth: int) -> str:
             f"rule f[node(a,b)] (Node[a,b] x y) -> {rhs};\n")
 
 
+def test_reduce_deep_spine_in_a_process():
+    """The reducer walks an explicit stack, so `i` on a left spine of 400
+    Nodes is reduced; the recursive reducer ran out of frames at ~250."""
+    tree = deep_tree(400)
+    result = subprocess.run([sys.executable, "-m", "treeterm.cli", "reduce", FGIH, "--term", f"i {tree}"],
+                            capture_output=True, text=True)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == tree[1:-1] + "\n"
+
+
 @pytest.mark.parametrize("command", ["reduce", "check"])
 def test_deep_nesting_exits_5_in_a_process(tmp_path, command):
     if command == "reduce":

@@ -16,7 +16,14 @@ from treeterm.rewrite import (
 from treeterm.syntax import parse_erased_term, parse_system, print_erased
 from treeterm.terms import EApp, ELam, ELeaf, ENode, ESym, EVar, alpha_canonical, erased_subst
 from conftest import APP_PATH, FGIH_PATH, load
-from helpers import CHOICE_TEXT, alpha_eq_erased, choice_spine, ground_trees, step
+from helpers import (
+    CHOICE_TEXT,
+    alpha_eq_erased,
+    choice_spine,
+    ground_trees,
+    reference_normalize,
+    step,
+)
 from oracle import is_neutral, is_value, node_parts
 
 
@@ -242,6 +249,23 @@ def test_normalize_detects_term_inside_its_own_reduct():
     assert isinstance(out, FuelExhausted)
     assert out.steps == 1
     assert [print_erased(t) for t in out.frontier] == ["f Leaf"]
+
+
+def test_normalize_decides_each_shared_state_once():
+    # the reducts X of f (f (f Leaf)) each start a flexible path under \y. X y
+    # that meets the same states; deciding each state once keeps the walk
+    # within the reference's budget (it needs 647 units, the reference 648)
+    t = ap("app (f (f (f Leaf)))")
+    out = normalize(t, APP, fuel=2000)
+    assert out == reference_normalize(t, APP, fuel=2000)
+    assert isinstance(normalize(t, APP, fuel=700), NormalForms)
+
+
+def test_normalize_keeps_equal_arguments_apart():
+    # app.trs has lambdas, so terms are alpha-canonicalized; the two equal
+    # arguments of a rigid term are still two positions of its forms
+    out = normalize(ap("Node f f"), APP)
+    assert out == NormalForms(frozenset({tree("Node Leaf Leaf")}))
 
 
 def test_rule_index_files_rules_by_head_and_argument_count():

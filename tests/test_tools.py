@@ -77,6 +77,20 @@ def test_time_stages_times_every_stage_of_one_tree_on_both_sides(capsys):
         assert old > 0 and new > 0 and ratio > 0
 
 
+def test_time_stages_times_the_reduce_stages(capsys):
+    time_stages = load_tool("time_stages")
+    src = str(TOOLS.parent / "src")
+    argv = [src, src, "--workload", "reduce", "--seed", "1", "--ops", "3", "--rounds", "2"]
+    assert time_stages.main(argv) == 0
+    title, header, *rows = capsys.readouterr().out.splitlines()
+    assert title == "reduce seed 1, 3 ops, 2 rounds: median ms per op"
+    assert [row.split()[0] for row in rows] == ["parse_erased_term", "normalize", "print_erased"]
+    for row in rows:
+        old, new, ratio = map(float, row.split()[1:])
+        assert old > 0 and new > 0 and ratio > 0
+    assert len(time_stages.reduce_ops(1, None)) == 807
+
+
 def test_time_stages_prints_a_dash_for_a_stage_a_tree_does_not_have():
     time_stages = load_tool("time_stages")
     assert time_stages.row("scan", None, 0.5).split() == ["scan", "-", "0.500", "-"]

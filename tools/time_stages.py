@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time each stage of `treeterm check` in two source trees, in alternating
-child processes.
+"""Time each stage of `treeterm check` or `treeterm reduce` in two source
+trees, in alternating child processes.
 
     python3 tools/time_stages.py OLD_SRC NEW_SRC --workload W --seed S
     python3 tools/time_stages.py OLD_SRC NEW_SRC --ring-800
@@ -15,12 +15,16 @@ the one system `ring_text(800)` instead, and `--wide-self K` the one system
 wide-self-K, perfbench's wide-1×K with no shrinking argument: a symbol with
 K recursive arguments and a rule that calls it on all of them, so that its
 right-hand side applies it to K patterns.  `--system FILE` times the one
-system in the `.trs` file FILE, which must be valid.
+system in the `.trs` file FILE, which must be valid.  `--workload reduce`
+times the reduce ops of perfbench instead, each a term over one of its two
+fixture systems, which a child parses once.
 
 Each round runs one child process per tree, the old tree first in odd
 rounds and the new one first in even rounds, one process at a time.  A
 child warms up on the first op, then times every stage on every op: the
-best of three calls of `scan`, the token scan that `parse_system` runs
+best of three calls of each.  A reduce op's stages are `parse_erased_term`
+on the term text, `normalize` on the term and the sorted `print_erased` of
+its normal forms.  A check op's stages are `scan`, the token scan that `parse_system` runs
 first, of `tokenize`, the scan with lines and columns that a parse runs
 only once a location is read, as for an error (the valid workload systems
 never run it inside `parse_system`), and of `parse_system` on the text,
@@ -52,6 +56,8 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 STAGES = ("scan", "tokenize", "parse_system", "validate_system", "extract_dps", "build_graph", "sccs",
           "find_indices", "check_criterion", "build_report", "report_to_json")
+REDUCE_STAGES = ("parse_erased_term", "normalize", "print_erased")
+FUEL = 10000  # the fuel of perfbench's reduce ops
 REPEAT = 3  # calls per stage and op; the fastest counts
 
 
@@ -76,6 +82,12 @@ def texts(workload: str, seed: int, ops: int | None, system: Path | None = None)
         return [workloads.wide_text(1, k, None, random.Random(0))]
     run_order, _ = workloads.build(workload, seed)
     return [op.text for op in run_order[:ops]]
+
+
+def reduce_ops(seed: int, ops: int | None) -> list:
+    """The reduce ops of perfbench, in their run order for the seed."""
+    run_order, _ = load_workloads().build("reduce", seed)
+    return run_order[:ops]
 
 
 def best(call, *args):
@@ -111,18 +123,44 @@ def time_stages(text: str, syntax, typecheck, analysis, report) -> dict[str, flo
     return seconds
 
 
+def time_reduce(op, systems: dict, syntax, rewrite) -> dict[str, float]:
+    system, symbols = systems[op.system]
+    seconds = {}
+    seconds["parse_erased_term"], term = best(syntax.parse_erased_term, op.term, symbols)
+    seconds["normalize"], outcome = best(rewrite.normalize, term, system, FUEL)
+    if isinstance(outcome, rewrite.FuelExhausted):
+        raise SystemExit(f"error: a reduce op ran out of fuel: {op.term}")
+    seconds["print_erased"], _ = best(
+        lambda: [syntax.print_erased(v) for v in sorted(outcome.forms, key=syntax.print_erased)])
+    return seconds
+
+
 def child(src: str, workload: str, seed: int, ops: int | None, system: Path | None) -> None:
     """Print one round's seconds per op of each stage as JSON."""
     sys.path.insert(0, src)
-    from treeterm import analysis, report, syntax, typecheck
+    from treeterm import analysis, report, rewrite, syntax, typecheck
 
-    op_texts = texts(workload, seed, ops, system)
-    time_stages(op_texts[0], syntax, typecheck, analysis, report)
+    if workload == "reduce":
+        workloads = load_workloads()
+        systems = {}
+        for name in workloads.REDUCE_SYMBOLS:
+            parsed = syntax.parse_system(workloads.fixture_text(name))
+            systems[name] = (parsed, frozenset(s for s, _ in parsed.signature))
+        op_list = reduce_ops(seed, ops)
+
+        def stages(op):
+            return time_reduce(op, systems, syntax, rewrite)
+    else:
+        op_list = texts(workload, seed, ops, system)
+
+        def stages(text):
+            return time_stages(text, syntax, typecheck, analysis, report)
+    stages(op_list[0])
     totals: dict[str, float] = {}
-    for text in op_texts:
-        for stage, seconds in time_stages(text, syntax, typecheck, analysis, report).items():
+    for op in op_list:
+        for stage, seconds in stages(op).items():
             totals[stage] = totals.get(stage, 0.0) + seconds
-    print(json.dumps({stage: total / len(op_texts) for stage, total in totals.items()}))
+    print(json.dumps({stage: total / len(op_list) for stage, total in totals.items()}))
 
 
 def run_child(src: Path, args: argparse.Namespace) -> dict[str, float]:
@@ -145,14 +183,14 @@ def row(stage: str, old: float | None, new: float | None) -> str:
     ratio, with `-` for a stage that a tree does not have."""
     cells = ["-" if ms is None else f"{ms:.3f}" for ms in (old, new)]
     cells.append("-" if old is None or new is None else f"{new / old:.2f}")
-    return f"{stage:<16}" + "".join(f"{cell:>10}" for cell in cells)
+    return f"{stage:<18}" + "".join(f"{cell:>10}" for cell in cells)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", nargs="?", type=Path, help="the old tree's src directory")
     parser.add_argument("new", nargs="?", type=Path, help="the new tree's src directory")
-    parser.add_argument("--workload", choices=("ring", "clique", "wide"), default="ring")
+    parser.add_argument("--workload", choices=("ring", "clique", "wide", "reduce"), default="ring")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--ops", type=int, help="time only the first OPS ops of the run order")
     parser.add_argument("--ring-800", action="store_true", help="time ring_text(800) alone")
@@ -185,12 +223,13 @@ def main(argv: list[str] | None = None) -> int:
     for r in range(args.rounds):
         for side in ("old", "new") if r % 2 == 0 else ("new", "old"):
             figures[side].append(run_child(trees[side], args))
-    count = len(texts(workload, args.seed, args.ops, args.system))
+    count = len(reduce_ops(args.seed, args.ops) if workload == "reduce"
+                else texts(workload, args.seed, args.ops, args.system))
     title = ("ring_text(800)" if args.ring_800 else workload if args.wide_self
              else args.system.name if args.system else f"{workload} seed {args.seed}, {count} ops")
     print(f"{title}, {args.rounds} rounds: median ms per op")
-    print(f"{'stage':<16}{'old':>10}{'new':>10}{'new/old':>10}")
-    for stage in STAGES:
+    print(f"{'stage':<18}{'old':>10}{'new':>10}{'new/old':>10}")
+    for stage in REDUCE_STAGES if workload == "reduce" else STAGES:
         print(row(stage, *(statistics.median(f[stage] for f in figures[side]) * 1e3
                            if stage in figures[side][0] else None for side in ("old", "new"))))
     return 0
