@@ -22,6 +22,9 @@ build more terms than that.
 """
 from __future__ import annotations
 
+from itertools import chain
+from typing import Iterator
+
 from .syntax import print_erased
 from .terms import (
     EApp,
@@ -180,9 +183,9 @@ class FuelExhausted(Record):
 
 ReductionOutcome = NormalForms | FuelExhausted
 
-# A frame of the walk: a term, whether it is rigid, its children and the
-# normal forms of those decided so far.
-_Frame = tuple[ErasedTerm, bool, list[ErasedTerm], list[tuple[ErasedTerm, ...]]]
+# A frame of the walk: a term, whether it is rigid, an iterator over its
+# children and the normal forms of those decided so far.
+_Frame = tuple[ErasedTerm, bool, Iterator[ErasedTerm], list[tuple[ErasedTerm, ...]]]
 
 
 def _exhausted(stop: ErasedTerm, stack: list[_Frame], expanded: int) -> FuelExhausted:
@@ -216,11 +219,10 @@ def normalize(t: ErasedTerm, sys: RewriteSystem, fuel: int = 10000) -> Reduction
     index = rule_index(rules)
     memo: dict[ErasedTerm, tuple[ErasedTerm, ...] | None] = {}
     expanded = 0
-    stack: list[_Frame] = [(t, True, [t], [])]  # the root, as the one part of a rigid frame
+    stack: list[_Frame] = [(t, True, iter((t,)), [])]  # the root, as the one part of a rigid frame
     while True:
         term, rigid, children, done = stack[-1]
-        if len(done) < len(children):
-            u = children[len(done)]
+        for u in children:
             if u.inert:
                 done.append((u,))
                 continue
@@ -240,30 +242,33 @@ def normalize(t: ErasedTerm, sys: RewriteSystem, fuel: int = 10000) -> Reduction
                 succ = _step(u, index)
                 if canonical:
                     succ = dict.fromkeys(alpha_canonical(v) for v in succ)
-                stack.append((u, False, list(succ), []))
+                stack.append((u, False, iter(succ), []))
             else:
-                stack.append((u, True, parts, []))
+                stack.append((u, True, iter(parts), []))
             memo[u] = None
-            continue
-        if len(stack) == 1:
-            return NormalForms(frozenset(done[0]))
-        if not rigid:
-            forms = tuple(dict.fromkeys(v for f in done for v in f)) if done else (term,)
-            if len(forms) > fuel:
-                return _exhausted(term, stack, expanded)
+            break
         else:
-            if isinstance(term, ELam):
-                out = [ELam(term.binder, v) for v in done[0]]
+            if len(stack) == 1:
+                return NormalForms(frozenset(done[0]))
+            if not rigid:
+                if len(done) == 1:
+                    forms = done[0]
+                else:
+                    forms = tuple(dict.fromkeys(chain.from_iterable(done))) if done else (term,)
+                    if len(forms) > fuel:
+                        return _exhausted(term, stack, expanded)
+            elif isinstance(term, ELam):  # a lambda occurs, so terms are canonical
+                forms = tuple(alpha_canonical(ELam(term.binder, v)) for v in done[0])
             else:
                 out = list(done[0])  # the head
                 for f in done[1:]:
                     if len(out) * len(f) > fuel:
                         return _exhausted(term, stack, expanded)
                     out = [EApp(g, v) for g in out for v in f]
-            forms = tuple(alpha_canonical(v) for v in out) if canonical else tuple(out)
-        memo[term] = forms
-        stack.pop()
-        stack[-1][3].append(forms)
+                forms = tuple(alpha_canonical(v) for v in out) if canonical else tuple(out)
+            memo[term] = forms
+            stack.pop()
+            stack[-1][3].append(forms)
 
 
 def pattern_form(v: ErasedTerm) -> Pattern:
