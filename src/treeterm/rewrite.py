@@ -43,7 +43,6 @@ from .terms import (
     RewriteSystem,
     alpha_canonical,
     erase,
-    erase_constructor,
     erased_subst,
 )
 
@@ -59,7 +58,7 @@ def erased_rules(sys: RewriteSystem) -> tuple[ErasedRule, ...]:
     for index, rule in enumerate(sys.rules):
         lhs: ErasedTerm = ESym(rule.head)
         for arg in rule.recursive_args:
-            lhs = EApp(lhs, erase_constructor(arg))
+            lhs = EApp(lhs, erase(arg))
         out.append(ErasedRule(lhs, erase(rule.rhs), index))
     return tuple(out)
 

@@ -4,6 +4,8 @@ whole text; the tokenizer, which alone knows lines and columns and runs the
 same regex over the whole text once a location or an error is first read; the
 recursive-descent parser, which reads the scan's lists and each rule's
 left-hand side into its head, patterns and constructor terms; and the printers.
+One printer, `print_term`, prints annotated, constructor and erased terms, the
+three families of the one term syntax, and `print_erased` is `print_term`.
 
 The abstract syntax they read and write lives in `terms`.
 """
@@ -49,6 +51,7 @@ from .terms import (
     SymbolInfo,
     SymbolRef,
     TermVar,
+    quantifier_prefix,
 )
 
 T = TypeVar("T")
@@ -480,73 +483,72 @@ def print_type(t: RefinementType) -> str:
         if isinstance(t.dom, (Arrow, Forall)):
             dom = f"({dom})"
         return f"{dom} -> {print_type(t.cod)}"
-    binders = [t.binder]
-    body = t.body
-    while isinstance(body, Forall):
-        binders.append(body.binder)
-        body = body.body
+    binders, body = quantifier_prefix(t)
     return f"forall {' '.join(binders)}. {print_type(body)}"
 
 
-def _term_is_atom(t: AnnotatedTerm) -> bool:
-    return isinstance(t, (TermVar, SymbolRef, LeafCon, NodeCon))
+# The atoms of the three term families, by class, with their text, where ""
+# stands for the atom's name; and the classes of their application nodes.
+_ATOMS = {**dict.fromkeys((TermVar, SymbolRef, ConVar, EVar, ESym), ""),
+          LeafCon: "Leaf", NodeCon: "Node", ConLeaf: "Leaf", ELeaf: "Leaf", ENode: "Node"}
+_SPINES = frozenset({App, PatApp, EApp})
 
 
-def print_term(t: AnnotatedTerm) -> str:
-    if isinstance(t, TermVar) or isinstance(t, SymbolRef):
-        return t.name
-    if isinstance(t, LeafCon):
-        return "Leaf"
-    if isinstance(t, NodeCon):
-        return "Node"
-    if isinstance(t, Lam):
+def print_term(t: AnnotatedTerm | ConstructorTerm | ErasedTerm) -> str:
+    """Print a term of the one term syntax by the class of each node: annotated
+    terms, a rule's constructor arguments as the annotated terms they read as,
+    and erased terms as their annotated counterparts without annotations."""
+    cls = type(t)
+    if cls in _ATOMS:
+        return _ATOMS[cls] or t.name
+    if cls is ConNode:
+        head = "Node"
+        if t.ann_left is not None and t.ann_right is not None:
+            head += f"[{print_pattern(t.ann_left)},{print_pattern(t.ann_right)}]"
+        return f"{head} {_argument(t.left)} {_argument(t.right)}"
+    if cls is ELam:
+        return f"\\{t.binder}. {print_term(t.body)}"
+    if cls is Lam:
         annot = print_type(t.annot)
         if isinstance(t.annot, (Arrow, Forall)):
             annot = f"({annot})"
         return f"\\{t.binder}:{annot}. {print_term(t.body)}"
-    if isinstance(t, PatLam):
+    if cls is PatLam:
         return f"/\\{t.binder}. {print_term(t.body)}"
     # application spine, outermost argument first; adjacent pattern
     # arguments print as one [p,...] group
     parts: list[str] = []
-    u: AnnotatedTerm = t
-    while isinstance(u, (App, PatApp)):
-        if isinstance(u, App):
-            text = print_term(u.arg)
-            parts.append(" " + (text if _term_is_atom(u.arg) else f"({text})"))
-            u = u.fun
-        else:
+    while cls in _SPINES:
+        if cls is PatApp:
             group: list[str] = []
-            while isinstance(u, PatApp):
-                group.append(print_pattern(u.pattern))
-                u = u.fun
+            while type(t) is PatApp:
+                group.append(print_pattern(t.pattern))
+                t = t.fun
             parts.append("[" + ",".join(reversed(group)) + "]")
-    head = print_term(u)
-    if not _term_is_atom(u):
-        head = f"({head})"
-    return head + "".join(reversed(parts))
+        else:
+            parts.append(" " + _argument(t.arg))
+            t = t.fun
+        cls = type(t)
+    parts.append(_argument(t))
+    return "".join(reversed(parts))
 
 
-def print_constructor(l: ConstructorTerm) -> str:
-    if isinstance(l, ConVar):
-        return l.name
-    if isinstance(l, ConLeaf):
-        return "Leaf"
-    head = "Node"
-    if l.ann_left is not None and l.ann_right is not None:
-        head += f"[{print_pattern(l.ann_left)},{print_pattern(l.ann_right)}]"
-    return f"{head} {_print_argument(l.left)} {_print_argument(l.right)}"
+def _argument(t: AnnotatedTerm | ConstructorTerm | ErasedTerm) -> str:
+    """t as an argument or the head of a spine: in parentheses unless an atom."""
+    cls = type(t)
+    if cls in _ATOMS:
+        return _ATOMS[cls] or t.name
+    return f"({print_term(t)})"
 
 
-def _print_argument(l: ConstructorTerm) -> str:
-    return f"({print_constructor(l)})" if isinstance(l, ConNode) else print_constructor(l)
+print_erased = print_term
 
 
 def print_rule(r: RewriteRule) -> str:
     lhs = r.head
     if r.pattern_args:
         lhs += "[" + ",".join(print_pattern(p) for p in r.pattern_args) + "]"
-    lhs += "".join(" " + _print_argument(arg) for arg in r.recursive_args)
+    lhs += "".join(" " + _argument(arg) for arg in r.recursive_args)
     return f"rule {lhs} -> {print_term(r.rhs)};"
 
 
@@ -558,30 +560,3 @@ def print_system(sys: RewriteSystem) -> str:
     ]
     lines.extend(print_rule(r) for r in sys.rules)
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def print_erased(t: ErasedTerm) -> str:
-    if isinstance(t, EVar) or isinstance(t, ESym):
-        return t.name
-    if isinstance(t, ELeaf):
-        return "Leaf"
-    if isinstance(t, ENode):
-        return "Node"
-    if isinstance(t, ELam):
-        return f"\\{t.binder}. {print_erased(t.body)}"
-    parts = []
-    u: ErasedTerm = t
-    while isinstance(u, EApp):
-        parts.append(u.arg)
-        u = u.fun
-    parts.reverse()
-    head = print_erased(u)
-    if isinstance(u, ELam):
-        head = f"({head})"
-    out = [head]
-    for arg in parts:
-        text = print_erased(arg)
-        if isinstance(arg, (EApp, ELam)):
-            text = f"({text})"
-        out.append(text)
-    return " ".join(out)

@@ -3,8 +3,8 @@
 Patterns approximate binary-tree shapes, refinement types attach patterns to
 the base type of trees, and annotated terms carry explicit pattern
 applications and abstractions.  This module also houses substitution,
-alpha-canonical renaming and the erasure from annotated terms to the untyped
-runtime language.  The textual format lives in `syntax`.
+alpha-canonical renaming and the erasure from annotated and constructor terms
+to the untyped runtime language.  The textual format lives in `syntax`.
 """
 from __future__ import annotations
 
@@ -432,31 +432,26 @@ class ELam(Record, hashed=True):
 ErasedTerm = Union[EVar, ESym, ELeaf, ENode, EApp, ELam]
 
 
-def erase(t: AnnotatedTerm) -> ErasedTerm:
-    """Drop pattern applications, pattern abstractions and type annotations."""
-    if isinstance(t, TermVar):
+def erase(t: AnnotatedTerm | ConstructorTerm) -> ErasedTerm:
+    """Drop pattern applications, pattern abstractions and type annotations;
+    a constructor term erases as the annotated term it reads as."""
+    if isinstance(t, TermVar) or isinstance(t, ConVar):
         return EVar(t.name)
     if isinstance(t, SymbolRef):
         return ESym(t.name)
-    if isinstance(t, LeafCon):
+    if isinstance(t, LeafCon) or isinstance(t, ConLeaf):
         return ELeaf()
     if isinstance(t, NodeCon):
         return ENode()
     if isinstance(t, App):
         return EApp(erase(t.fun), erase(t.arg))
+    if isinstance(t, ConNode):
+        return EApp(EApp(ENode(), erase(t.left)), erase(t.right))
     if isinstance(t, PatApp):
         return erase(t.fun)
     if isinstance(t, Lam):
         return ELam(t.binder, erase(t.body))
     return erase(t.body)
-
-
-def erase_constructor(l: ConstructorTerm) -> ErasedTerm:
-    if isinstance(l, ConVar):
-        return EVar(l.name)
-    if isinstance(l, ConLeaf):
-        return ELeaf()
-    return EApp(EApp(ENode(), erase_constructor(l.left)), erase_constructor(l.right))
 
 
 def erased_free_vars(t: ErasedTerm) -> frozenset[str]:

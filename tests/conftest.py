@@ -26,21 +26,6 @@ def load_validated(path: Path) -> ValidatedSystem:
 
 
 @pytest.fixture(scope="session")
-def app_system() -> RewriteSystem:
-    return load(APP_PATH)
-
-
-@pytest.fixture(scope="session")
-def fgih_system() -> RewriteSystem:
-    return load(FGIH_PATH)
-
-
-@pytest.fixture(scope="session")
-def nonminimal_system() -> RewriteSystem:
-    return load(NONMINIMAL_PATH)
-
-
-@pytest.fixture(scope="session")
 def app_validated() -> ValidatedSystem:
     return load_validated(APP_PATH)
 

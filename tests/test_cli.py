@@ -160,6 +160,7 @@ INVALID_DIAGNOSTICS = {
             ("node(a,a)", "node(x,y)", 7),
             ("node(a,b)", "node(x,x)", 8),
             ("node(a,leaf)", "node(x,node(y,z))", 9),
+            ("node(a,b)", "node(x,leaf)", 10),
         )
     ),
     "partial-pattern-app": (

@@ -18,14 +18,18 @@ from treeterm.terms import (
     ENode,
     ESym,
     EVar,
+    LeafCon,
     Loc,
     PLeaf,
     PNode,
     PVar,
     PWild,
     Record,
+    RewriteRule,
+    SymbolInfo,
     TermVar,
 )
+from treeterm.typecheck import Context
 
 RECORDS = sorted(Record.__subclasses__(), key=lambda cls: cls.__name__)
 
@@ -94,6 +98,19 @@ def test_locations_do_not_count():
     assert a == b
     assert hash(a) == hash(b)
     assert repr(a) == "TermVar(name='x')"
+
+
+def test_unequal_fields_of_the_same_class():
+    t = Base(PLeaf())
+    # a differing scalar field
+    assert SymbolInfo(t, 1) != SymbolInfo(t, 2)
+    # tuple fields of different lengths
+    assert (RewriteRule("f", (PVar("a"),), (), LeafCon())
+            != RewriteRule("f", (PVar("a"), PVar("b")), (), LeafCon()))
+    # differing scalars inside a tuple field
+    assert Context((("x", t),)) != Context((("y", t),))
+    # hashing walks into the tuples of the same records
+    assert hash(Context((("x", t),))) == hash(Context((("x", Base(PLeaf())),)))
 
 
 def test_dependency_pair_equality_ignores_the_rule_index():

@@ -210,6 +210,25 @@ def test_normalize_caps_normal_forms_at_fuel():
     assert [print_erased(u) for u in out.frontier] == ["Node (c Leaf) (c Leaf)"]
 
 
+def test_normalize_caps_the_union_of_a_flexible_terms_forms():
+    # each reduct of d has two normal forms, and the union of the three
+    # distinct forms is past a fuel of two
+    system = parse_system(
+        CHOICE_TEXT
+        + "symbol d : B(_) recursive 0;\n"
+        "rule d -> Node[_,leaf] (c[leaf] Leaf) Leaf;\n"
+        "rule d -> Node[leaf,_] Leaf (c[leaf] Leaf);\n"
+    )
+    d = et("d", frozenset({"c", "d"}))
+    out = normalize(d, system, fuel=2)
+    assert isinstance(out, FuelExhausted)
+    assert out.steps == 2
+    assert out.frontier == (ESym("d"),)
+    assert forms_of(normalize(d, system, fuel=3)) == {
+        "Node Leaf Leaf", "Node (Node Leaf Leaf) Leaf", "Node Leaf (Node Leaf Leaf)",
+    }
+
+
 def test_normalize_stops_before_building_exponentially_many_forms():
     # c Leaf is searched once and memoized, so almost no fuel is spent;
     # the 2**30 combinations must still be refused, not built

@@ -49,7 +49,6 @@ from treeterm.terms import (
     TermVar,
     alpha_canonical,
     erase,
-    erase_constructor,
     erased_free_vars,
     erased_subst,
     fresh_name,
@@ -334,6 +333,12 @@ def test_malformed_lhs_rejected(lhs, message):
     assert err.value.message.startswith(message)
 
 
+def test_unclosed_lhs_parenthesis_rejected():
+    with pytest.raises(ParseError) as err:
+        parse_system("symbol f : forall a. B(a) -> B(leaf) recursive 1;\nrule (f[a] x -> Leaf;\n")
+    assert (err.value.line, err.value.col, err.value.expected) == (2, 14, (")",))
+
+
 def test_lhs_builds_no_annotated_terms(monkeypatch):
     built = []
     init = NodeCon.__init__
@@ -483,9 +488,9 @@ def test_erase_lambda_keeps_binder_drops_annotation():
 
 def test_erase_constructor_shapes():
     c = ConNode(PVar("a"), PVar("b"), ConVar("x"), ConLeaf())
-    assert erase_constructor(c) == EApp(EApp(ENode(), EVar("x")), ELeaf())
-    assert erase_constructor(ConVar("y")) == EVar("y")
-    assert erase_constructor(ConLeaf()) == ELeaf()
+    assert erase(c) == EApp(EApp(ENode(), EVar("x")), ELeaf())
+    assert erase(ConVar("y")) == EVar("y")
+    assert erase(ConLeaf()) == ELeaf()
 
 
 # ---------------------------------------------------------------------------
@@ -575,3 +580,37 @@ def test_print_type_parenthesizes_arrow_domain():
 def test_print_term_merges_pattern_groups():
     t = PatApp(PatApp(SymbolRef("g"), PVar("a")), PVar("b"))
     assert print_term(t) == "g[a,b]"
+
+
+# ---------------------------------------------------------------------------
+# One term syntax: annotated, constructor and erased terms print alike
+
+@pytest.mark.parametrize("text,erased", [
+    ("Node[a,b] x (Node y Leaf)", "Node x (Node y Leaf)"),
+    ("Node x Leaf", "Node x Leaf"),
+    ("Node[leaf,node(a,_)] (Node[a,b] x y) (Node Leaf z)", "Node (Node x y) (Node Leaf z)"),
+])
+def test_constructor_terms_print_and_erase_as_the_terms_they_read_as(text, erased):
+    (rule,) = parse_system(f"{LHS_PRELUDE}rule f[a] ({text}) -> Leaf;\n").rules
+    (constructor,) = rule.recursive_args
+    annotated = parse_term(text)
+    assert print_term(constructor) == print_term(annotated) == text
+    assert print_rule(rule) == f"rule f[a] ({text}) -> Leaf;"
+    assert erase(constructor) == erase(annotated) == parse_erased_term(erased, frozenset())
+    assert print_term(erase(constructor)) == erased
+
+
+@pytest.mark.parametrize("text,erased", [
+    (r"\x:(B(a) -> B(b)). /\c. x[c] (g[c] Leaf)", r"\x. x (g Leaf)"),
+    (r"(\y:B(a). y) (Node[a,a] Leaf) g", r"(\y. y) (Node Leaf) g"),
+    (r"g (\y:B(a). y)", r"g (\y. y)"),
+])
+def test_erased_terms_print_as_their_annotated_counterparts(text, erased):
+    symbols = frozenset({"g"})
+    t = erase(parse_term(text, symbols))
+    assert print_term(t) == print_erased(t) == erased
+    assert parse_erased_term(erased, symbols) == t
+
+
+def test_print_erased_is_print_term():
+    assert syntax.print_erased is syntax.print_term
