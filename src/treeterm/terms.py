@@ -435,21 +435,21 @@ ErasedTerm = Union[EVar, ESym, ELeaf, ENode, EApp, ELam]
 def erase(t: AnnotatedTerm | ConstructorTerm) -> ErasedTerm:
     """Drop pattern applications, pattern abstractions and type annotations;
     a constructor term erases as the annotated term it reads as."""
-    if isinstance(t, TermVar) or isinstance(t, ConVar):
+    if type(t) is TermVar or type(t) is ConVar:
         return EVar(t.name)
-    if isinstance(t, SymbolRef):
+    if type(t) is SymbolRef:
         return ESym(t.name)
-    if isinstance(t, LeafCon) or isinstance(t, ConLeaf):
+    if type(t) is LeafCon or type(t) is ConLeaf:
         return ELeaf()
-    if isinstance(t, NodeCon):
+    if type(t) is NodeCon:
         return ENode()
-    if isinstance(t, App):
+    if type(t) is App:
         return EApp(erase(t.fun), erase(t.arg))
-    if isinstance(t, ConNode):
+    if type(t) is ConNode:
         return EApp(EApp(ENode(), erase(t.left)), erase(t.right))
-    if isinstance(t, PatApp):
+    if type(t) is PatApp:
         return erase(t.fun)
-    if isinstance(t, Lam):
+    if type(t) is Lam:
         return ELam(t.binder, erase(t.body))
     return erase(t.body)
 

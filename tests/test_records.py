@@ -109,7 +109,7 @@ def test_unequal_fields_of_the_same_class():
             != RewriteRule("f", (PVar("a"), PVar("b")), (), LeafCon()))
     # differing scalars inside a tuple field
     assert Context((("x", t),)) != Context((("y", t),))
-    # hashing walks into the tuples of the same records
+    # equal contexts hash alike, through the tuples in their fields
     assert hash(Context((("x", t),))) == hash(Context((("x", Base(PLeaf())),)))
 
 
