@@ -3,13 +3,13 @@ styles, the DOT graph, the `check` text and the structured JSON report.
 
 A report is a plain JSON-serializable dict; the layout is versioned so
 downstream consumers can detect changes.  Everything except the timing
-block is a deterministic function of the input file and flags, and
-`report_to_json` writes it as `json.dumps(indent=2)` would, byte for byte.
+block is a deterministic function of the input file and flags.
+`report_to_json` writes one top-level key per line, each value on that line
+in `json.dumps` form, ASCII-escaped, and a final newline.
 """
 from __future__ import annotations
 
 import json
-from itertools import chain
 from typing import Any
 
 from .analysis import DependencyPair, Verdict, is_nontrivial, sccs
@@ -18,7 +18,6 @@ from .terms import RewriteSystem
 from .typecheck import Diagnostic, ValidatedSystem
 
 SCHEMA_VERSION = 1
-_encode_str = json.encoder.encode_basestring_ascii
 _PALETTE = ("lightblue", "lightsalmon", "palegreen", "khaki", "plum", "lightgrey")
 
 
@@ -212,32 +211,7 @@ def build_report(
 
 
 def report_to_json(report: dict[str, Any]) -> str:
-    """Exactly `json.dumps(report, indent=2) + "\\n"` for any report of dicts with
-    `str` keys, lists, str, int, float, bool and None.  With `indent`, `json.dumps`
-    walks every value in Python generator code; this writer makes one call per
-    dict or list, and encodes the str and int items in it in place.  A list of
-    `[int, int]` lists, such as `edges`, is written by one `%` over one
-    template per item, with no call of its own per item."""
-    return _to_json(report, "\n") + "\n"
-
-
-def _to_json(value: Any, newline: str) -> str:
-    """`value` in `json.dumps(indent=2)` layout, at the indent `newline` ends with."""
-    if not value or not isinstance(value, (dict, list, tuple)):
-        return _encode_str(value) if isinstance(value, str) else json.dumps(value)  # or `[]`, `{}`
-    inner = newline + "  "
-    if isinstance(value, dict):
-        items = [_encode_str(k) + ": " + (_encode_str(v) if type(v) is str else
-                                          int.__repr__(v) if type(v) is int else _to_json(v, inner))
-                 for k, v in value.items()]
-        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
-    # `type`, not `isinstance`: a bool is an int, but prints as `true` or `false`
-    if type(value[0]) is list and all(
-            type(v) is list and len(v) == 2 and type(v[0]) is int and type(v[1]) is int
-            for v in value):
-        pair = f"[{inner}  %d,{inner}  %d{inner}]"
-        items = (',' + inner).join([pair] * len(value)) % tuple(chain.from_iterable(value))
-    else:
-        items = (',' + inner).join([_encode_str(v) if type(v) is str else int.__repr__(v)
-                                    if type(v) is int else _to_json(v, inner) for v in value])
-    return f"[{inner}{items}{newline}]"
+    """The report as a JSON object with one top-level key per line, in the
+    report's key order.  `json.dumps` with no keyword arguments runs the C
+    encoder; with `indent` it would run the pure-Python one."""
+    return "{\n" + ",\n".join(f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in report.items()) + "\n}\n"

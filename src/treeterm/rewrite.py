@@ -209,13 +209,17 @@ def normalize(t: ErasedTerm, sys: RewriteSystem, fuel: int = 10000) -> Reduction
     (a cycle, or a term inside its own reduct), or when a term has more
     normal forms than the fuel.  Its frontier is the term where the walk
     stopped, with the flexible terms above the last rigid one on the stack.
-    Normal forms are alpha-canonical.
+    Normal forms are alpha-canonical.  The rule index, and whether a
+    right-hand side holds a lambda, are kept in the system's `erased` slot
+    from its first call on.
     """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
-    rules = erased_rules(sys)
-    canonical = _has_lambda(t) or any(_has_lambda(r.rhs) for r in rules)
-    index = rule_index(rules)
+    if not hasattr(sys, "erased"):  # the first call on sys
+        rules = erased_rules(sys)
+        RewriteSystem.erased.__set__(sys, (rule_index(rules), any(_has_lambda(r.rhs) for r in rules)))
+    index, lambda_rhs = sys.erased
+    canonical = lambda_rhs or _has_lambda(t)
     memo: dict[ErasedTerm, tuple[ErasedTerm, ...] | None] = {}
     expanded = 0
     stack: list[_Frame] = [(t, True, iter((t,)), [])]  # the root, as the one part of a rigid frame

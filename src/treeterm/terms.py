@@ -18,16 +18,16 @@ class Record:
     and result type.
 
     A subclass names its fields in `__slots__` and gives their defaults as
-    class keywords; the base builds its `__init__`.  `derived` slots are
-    filled by the subclass's own `__init__` and are not fields.  Fields in
-    `ignore` are left out of equality and hashing, and so is a source
-    location from the repr.  The hash lives in a slot: a `hashed` class
+    class keywords; the base builds its `__init__`.  `derived` slots are not
+    fields: the subclass's own `__init__` fills them, or their first use.
+    Fields in `ignore` are left out of equality and hashing, and so is a
+    source location from the repr.  The hash lives in a slot: a `hashed` class
     computes it when an instance is built, from its children's; the others
     compute it on first use, by a walk that fills in the children's first.
     Equality holds between records of the same class only.  It compares the
     hashes of `hashed` records first and walks the children on an explicit
-    stack, so values of any depth compare without recursion.  A class
-    without fields has one shared instance.
+    stack, so values of any depth compare without recursion; the repr
+    does the same.  A class without fields has one shared instance.
     """
 
     __slots__ = ("_hash",)
@@ -109,8 +109,26 @@ class Record:
                     break
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._shown)
-        return f"{type(self).__name__}({fields})"
+        """`Class(field=value, ...)`, written from an explicit stack of what is
+        left to write, so that values of any depth print without recursion."""
+        out = []
+        stack: list = [self]  # text, or a record or tuple still to expand
+        while stack:
+            v = stack.pop()
+            if type(v) is str:
+                out.append(v)
+                continue
+            if type(v) is tuple:
+                head, end, items = "(", ",)" if len(v) == 1 else ")", [("", x) for x in v]
+            else:
+                head, end = type(v).__name__ + "(", ")"
+                items = [(f + "=", getattr(v, f)) for f in v._shown]
+            out.append(head)
+            stack.append(end)
+            for i, (label, x) in reversed(list(enumerate(items))):
+                shown = x if type(x) is tuple or isinstance(x, Record) else repr(x)
+                stack += shown, (", " if i else "") + label
+        return "".join(out)
 
 
 def _records_in(node: Record) -> list[Record]:
@@ -533,5 +551,5 @@ class RewriteRule(Record, ignore=("loc",), loc=None):
     __slots__ = ("head", "pattern_args", "recursive_args", "rhs", "loc")
 
 
-class RewriteSystem(Record):
-    __slots__ = ("signature", "rules")
+class RewriteSystem(Record, derived=("erased",)):  # `erased`: see `rewrite.normalize`
+    __slots__ = ("signature", "rules", "erased")

@@ -179,3 +179,17 @@ def test_deep_values_compare_and_hash_without_recursion(build, leaf, other_leaf)
     assert first != other
     assert first == second
     assert hash(first) == hash(second)
+
+
+def test_deep_values_print_without_recursion():
+    t = ELeaf()
+    for _ in range(10**4):
+        t = EApp(ESym("i"), t)
+    assert 10**4 > sys.getrecursionlimit()
+    assert repr(t).count("EApp(") == 10**4
+
+
+def test_repr_writes_fields_and_tuples_as_python_does():
+    rule = RewriteRule("f", (), (PVar("a"),), (PLeaf(), (PWild(), "x")))
+    assert repr(rule) == ("RewriteRule(head='f', pattern_args=(), recursive_args=(PVar(name='a'),), "
+                          "rhs=(PLeaf(), (PWild(), 'x')))")

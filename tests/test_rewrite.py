@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from treeterm import rewrite
 from treeterm.rewrite import (
     FuelExhausted,
     NormalForms,
@@ -291,6 +292,20 @@ def test_rule_index_files_rules_by_head_and_argument_count():
     index = rule_index(erased_rules(APP))
     assert sorted(index) == [("app", 0), ("f", 0), ("g", 1)]
     assert [r.rule_index for r in index[("g", 1)]] == [2, 3]
+
+
+def test_normalize_erases_a_systems_rules_once(monkeypatch):
+    calls = []
+
+    def counting(sys):
+        calls.append(sys)
+        return erased_rules(sys)
+
+    monkeypatch.setattr(rewrite, "erased_rules", counting)
+    system = load(FGIH_PATH)
+    first = normalize(fg("f (Node Leaf Leaf)"), system)
+    assert normalize(fg("f (Node Leaf Leaf)"), system) == first
+    assert calls == [system]
 
 
 def test_normalize_frontier_is_sorted():

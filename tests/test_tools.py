@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from helpers import wide_text
+from treeterm.report import report_to_json
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -51,13 +52,14 @@ def report_record(compare_outputs, text: str) -> dict:
 def test_compare_outputs_records_the_report_bytes():
     compare_outputs = load_tool("compare_outputs")
     doc = {"file": "x.trs", "label": "f♯(a) -> g♯", "edges": [[0, 1]], "timing": {"seconds": 0.25}}
-    text = json.dumps(doc, indent=2) + "\n"
-    record = report_record(compare_outputs, text)
+    record = report_record(compare_outputs, report_to_json(doc))
     assert "0.25" not in record["stdout"]
     doc["timing"]["seconds"] = 1.5e-05
-    assert report_record(compare_outputs, json.dumps(doc, indent=2) + "\n") == record
-    for changed in (json.dumps(doc, indent=1) + "\n", json.dumps(doc, indent=2, ensure_ascii=False) + "\n",
-                    json.dumps(doc, indent=2)):
+    text = report_to_json(doc)
+    assert report_record(compare_outputs, text) == record
+    for changed in (json.dumps(doc, indent=2) + "\n", text.replace("\\u266f", "♯"), text.removesuffix("\n"),
+                    text.replace("[[0, 1]]", "[[0, 2]]")):
+        assert changed != text
         assert report_record(compare_outputs, changed) != record
 
 
@@ -68,13 +70,13 @@ def test_time_stages_times_every_stage_of_one_tree_on_both_sides(capsys):
     assert time_stages.main(argv) == 0
     title, header, *rows = capsys.readouterr().out.splitlines()
     assert title == "wide seed 1, 3 ops, 2 rounds: median ms per op"
-    assert header.split() == ["stage", "old", "new", "new/old"]
+    assert header.split() == ["stage", "old", "new", "new/old", "min", "max"]
     assert [row.split()[0] for row in rows] == [
         "scan", "tokenize", "parse_system", "validate_system", "extract_dps", "build_graph",
         "sccs", "find_indices", "check_criterion", "build_report", "report_to_json"]
     for row in rows:
-        old, new, ratio = map(float, row.split()[1:])
-        assert old > 0 and new > 0 and ratio > 0
+        old, new, ratio, low, high = map(float, row.split()[1:])
+        assert old > 0 and new > 0 and ratio > 0 and 0 < low <= high
 
 
 def test_time_stages_times_the_reduce_stages(capsys):
@@ -86,15 +88,16 @@ def test_time_stages_times_the_reduce_stages(capsys):
     assert title == "reduce seed 1, 3 ops, 2 rounds: median ms per op"
     assert [row.split()[0] for row in rows] == ["parse_erased_term", "normalize", "print_erased"]
     for row in rows:
-        old, new, ratio = map(float, row.split()[1:])
-        assert old > 0 and new > 0 and ratio > 0
+        old, new, ratio, low, high = map(float, row.split()[1:])
+        assert old > 0 and new > 0 and ratio > 0 and 0 < low <= high
     assert len(time_stages.reduce_ops(1, None)) == 807
 
 
 def test_time_stages_prints_a_dash_for_a_stage_a_tree_does_not_have():
     time_stages = load_tool("time_stages")
-    assert time_stages.row("scan", None, 0.5).split() == ["scan", "-", "0.500", "-"]
-    assert time_stages.row("sccs", 0.25, 0.5).split() == ["sccs", "0.250", "0.500", "2.00"]
+    assert time_stages.row("scan", None, 0.5, []).split() == ["scan", "-", "0.500", "-", "-", "-"]
+    assert time_stages.row("sccs", 0.25, 0.5, [2.5, 1.5, 2.0]).split() == [
+        "sccs", "0.250", "0.500", "2.00", "1.50", "2.50"]
 
 
 def test_time_stages_times_one_wide_self_system(capsys):

@@ -48,7 +48,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
 SHOWN = 5  # differing records printed in full
 PNG_MAX_EDGES = 300  # a clique-20 graph, 8000 edges, takes over 10 s to draw
-SECONDS = re.compile(r'^(    "seconds": )-?[0-9][0-9.eE+-]*$', re.MULTILINE)  # the one timed value
+# the one timed value: the number on the report's `timing` line
+SECONDS = re.compile(r'^(  "timing": \{"seconds": )-?[0-9][0-9.eE+-]*(?=\}$)', re.MULTILINE)
 
 
 def load_workloads():

@@ -36,9 +36,11 @@ validated system, and `build_report` and `report_to_json` on their results,
 all called as perfbench's check runner calls them.  A round's figure for a
 stage is its total time over the ops divided by their number.  The script
 prints, per stage, the median of these figures over the rounds for each
-tree, in milliseconds per op, and the new/old ratio of the medians.  A
-stage that a tree does not have, such as `scan` before that function
-existed, prints `-`.  A child that fails stops the script with exit 2.
+tree, in milliseconds per op, the new/old ratio of the medians, and the
+smallest and largest of the rounds' own new/old ratios, so that the noise
+the host's load adds to a ratio shows next to it.  A stage that a tree
+does not have, such as `scan` before that function existed, prints `-`.
+A child that fails stops the script with exit 2.
 """
 from __future__ import annotations
 
@@ -178,11 +180,13 @@ def run_child(src: Path, args: argparse.Namespace) -> dict[str, float]:
     return json.loads(done.stdout)
 
 
-def row(stage: str, old: float | None, new: float | None) -> str:
-    """One line of the table: a stage's old and new ms per op and their
-    ratio, with `-` for a stage that a tree does not have."""
+def row(stage: str, old: float | None, new: float | None, ratios: list[float]) -> str:
+    """One line of the table: a stage's old and new ms per op, their ratio
+    and the smallest and largest of the per-round `ratios`, with `-` for a
+    stage that a tree does not have."""
     cells = ["-" if ms is None else f"{ms:.3f}" for ms in (old, new)]
     cells.append("-" if old is None or new is None else f"{new / old:.2f}")
+    cells += [f"{min(ratios):.2f}", f"{max(ratios):.2f}"] if ratios else ["-", "-"]
     return f"{stage:<18}" + "".join(f"{cell:>10}" for cell in cells)
 
 
@@ -228,10 +232,12 @@ def main(argv: list[str] | None = None) -> int:
     title = ("ring_text(800)" if args.ring_800 else workload if args.wide_self
              else args.system.name if args.system else f"{workload} seed {args.seed}, {count} ops")
     print(f"{title}, {args.rounds} rounds: median ms per op")
-    print(f"{'stage':<18}{'old':>10}{'new':>10}{'new/old':>10}")
+    print(f"{'stage':<18}{'old':>10}{'new':>10}{'new/old':>10}{'min':>10}{'max':>10}")
     for stage in REDUCE_STAGES if workload == "reduce" else STAGES:
+        ratios = [new[stage] / old[stage] for old, new in zip(figures["old"], figures["new"])
+                  if stage in old and stage in new]
         print(row(stage, *(statistics.median(f[stage] for f in figures[side]) * 1e3
-                           if stage in figures[side][0] else None for side in ("old", "new"))))
+                           if stage in figures[side][0] else None for side in ("old", "new")), ratios))
     return 0
 
 
