@@ -52,6 +52,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def per_command(names, *commands):
+    """The parameters `name, command` of each name under each command, an
+    argv without the path, which follows the subcommand.  The `check` cases
+    keep the bare name as their id."""
+    return [pytest.param(name, command, id=name if command == ("check",) else f"{command[0]}-{name}")
+            for command in commands for name in sorted(names)]
+
+
 # ---------------------------------------------------------------------------
 # check
 
@@ -210,10 +218,11 @@ def test_invalid_systems_are_all_pinned():
     assert sorted(p.stem for p in INVALID_DIR.glob("*.trs")) == sorted(INVALID_DIAGNOSTICS)
 
 
-@pytest.mark.parametrize("name", sorted(INVALID_DIAGNOSTICS))
-def test_check_invalid_system_output(capsys, name):
+@pytest.mark.parametrize("name,command", per_command(INVALID_DIAGNOSTICS, ("check",), ("graph",),
+                                                     ("typecheck",)))
+def test_check_invalid_system_output(capsys, name, command):
     path = str(INVALID_DIR / f"{name}.trs")
-    code, out, err = run(capsys, "check", path)
+    code, out, err = run(capsys, command[0], path, *command[1:])
     assert (code, err) == (2, "")
     lines = INVALID_DIAGNOSTICS[name]
     assert out == "".join(f"{line}\n" for line in (f"INVALID: {path}", *(f"  {l}" for l in lines)))
@@ -274,10 +283,11 @@ def test_parse_error_systems_are_all_pinned():
     assert sorted(p.stem for p in PARSE_DIR.glob("*.trs")) == sorted(PARSE_ERRORS)
 
 
-@pytest.mark.parametrize("name", sorted(PARSE_ERRORS))
-def test_check_parse_error(capsys, name):
+@pytest.mark.parametrize("name,command", per_command(PARSE_ERRORS, ("check",), ("graph",), ("typecheck",),
+                                                     ("reduce", "--term", "Leaf")))
+def test_check_parse_error(capsys, name, command):
     path = str(PARSE_DIR / f"{name}.trs")
-    code, out, err = run(capsys, "check", path)
+    code, out, err = run(capsys, command[0], path, *command[1:])
     assert (code, out, err) == (3, f"PARSE ERROR: {path}: {PARSE_ERRORS[name]}\n", "")
 
 

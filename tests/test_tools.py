@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -143,6 +144,27 @@ def test_time_stages_refuses_a_system_it_cannot_time(capsys, argv):
         time_stages.main([src, src, *argv])
     assert exit_info.value.code == 2
     assert "--system" in capsys.readouterr().err
+
+
+def test_time_stages_times_two_different_trees_in_one_process(capsys, tmp_path):
+    time_stages = load_tool("time_stages")
+    trees = {side: tmp_path / side for side in ("without_scan", "with_scan")}
+    for tree in trees.values():
+        shutil.copytree(TOOLS.parent / "src", tree, ignore=shutil.ignore_patterns("__pycache__"))
+    syntax = trees["without_scan"] / "treeterm" / "syntax.py"
+    text = syntax.read_text(encoding="utf-8")
+    renamed = text.replace("def scan(", "def _scan(").replace("= scan(text)", "= _scan(text)")
+    assert renamed.count("_scan(") == text.count("scan(") == 2
+    syntax.write_text(renamed, encoding="utf-8")
+    argv = ["--workload", "wide", "--ops", "2", "--rounds", "2"]
+    for old, new, lacking in (("without_scan", "with_scan", 1), ("with_scan", "without_scan", 2)):
+        assert time_stages.main([str(trees[old]), str(trees[new]), *argv]) == 0
+        rows = {row.split()[0]: row.split() for row in capsys.readouterr().out.splitlines()[2:]}
+        assert rows["scan"][lacking] == "-" and float(rows["scan"][3 - lacking]) > 0
+        assert rows["scan"][3:] == ["-", "-", "-"]
+        assert all("-" not in cells for stage, cells in rows.items() if stage != "scan")
+        assert not [path for tree in trees.values() for path in tree.rglob("__pycache__")]
+        assert not [key for key in sys.modules if key.startswith("treeterm_")]
 
 
 RUN_STDOUT = """workload wide, seed 1, 72 ops per pass

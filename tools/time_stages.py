@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Time each stage of `treeterm check` or `treeterm reduce` in two source
-trees, in alternating child processes.
+trees, loaded side by side in one process.
 
     python3 tools/time_stages.py OLD_SRC NEW_SRC --workload W --seed S
     python3 tools/time_stages.py OLD_SRC NEW_SRC --ring-800
@@ -17,40 +17,39 @@ K recursive arguments and a rule that calls it on all of them, so that its
 right-hand side applies it to K patterns.  `--system FILE` times the one
 system in the `.trs` file FILE, which must be valid.  `--workload reduce`
 times the reduce ops of perfbench instead, each a term over one of its two
-fixture systems, which a child parses once.
+fixture systems, which each loaded tree parses once.
 
-Each round runs one child process per tree, the old tree first in odd
-rounds and the new one first in even rounds, one process at a time.  A
-child warms up on the first op, then times every stage on every op: the
-best of three calls of each.  A reduce op's stages are `parse_erased_term`
-on the term text, `normalize` on the term and the sorted `print_erased` of
-its normal forms.  A check op's stages are `scan`, the token scan that `parse_system` runs
-first, of `tokenize`, the scan with lines and columns that a parse runs
-only once a location is read, as for an error (the valid workload systems
-never run it inside `parse_system`), and of `parse_system` on the text,
-`validate_system` on the parsed system, the layers of the analysis on
-their own (`extract_dps` on the validated system, `build_graph` on its
-pairs, `sccs` on the graph and `find_indices` on each nontrivial
-component), `check_criterion`, which runs all of the analysis again, on the
-validated system, and `build_report` and `report_to_json` on their results,
-all called as perfbench's check runner calls them.  A round's figure for a
-stage is its total time over the ops divided by their number.  The script
-prints, per stage, the median of these figures over the rounds for each
-tree, in milliseconds per op, the new/old ratio of the medians, and the
-smallest and largest of the rounds' own new/old ratios, so that the noise
-the host's load adds to a ratio shows next to it.  A stage that a tree
-does not have, such as `scan` before that function existed, prints `-`.
-A child that fails stops the script with exit 2.
+Each round imports fresh copies of both trees, each under a package name of
+its own and without writing bytecode, and warms each up on the first op.
+It then times every stage of every op on both trees, the best of three
+calls of each, alternating from one op to the next which tree goes first;
+the old tree is loaded and goes first in odd rounds, the new one in even.
+A reduce op's stages are `parse_erased_term` on the term text, `normalize`
+on the term and the sorted `print_erased` of its normal forms.  A check
+op's stages are `scan`, the token scan that `parse_system` runs first,
+`tokenize`, the scan with lines and columns that a parse runs only once a
+location is read, as for an error (the valid workload systems never run it
+inside `parse_system`), `parse_system` on the text, `validate_system` on
+the parsed system, the layers of the analysis on their own (`extract_dps`
+on the validated system, `build_graph` on its pairs, `sccs` on the graph
+and `find_indices` on each nontrivial component), `check_criterion`, which
+runs all of the analysis again, on the validated system, and
+`build_report` and `report_to_json` on their results, all called as
+perfbench's check runner calls them.  A round's figure for a stage is its
+total time over the ops divided by their number.  The script prints, per
+stage, the median of these figures over the rounds for each tree, in
+milliseconds per op, the new/old ratio of the medians, and the smallest
+and largest of the rounds' own new/old ratios, so that the noise the
+host's load adds to a ratio shows next to it.  A stage that a tree does
+not have, such as `scan` before that function existed, prints `-`.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.util
-import json
-import os
 import random
 import statistics
-import subprocess
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -61,8 +60,10 @@ STAGES = ("scan", "tokenize", "parse_system", "validate_system", "extract_dps", 
 REDUCE_STAGES = ("parse_erased_term", "normalize", "print_erased")
 FUEL = 10000  # the fuel of perfbench's reduce ops
 REPEAT = 3  # calls per stage and op; the fastest counts
+SIDES = ("old", "new")
 
 
+@functools.cache
 def load_workloads():
     """perfbench/workloads.py as a module, without putting its directory on
     sys.path or writing bytecode next to it."""
@@ -137,47 +138,36 @@ def time_reduce(op, systems: dict, syntax, rewrite) -> dict[str, float]:
     return seconds
 
 
-def child(src: str, workload: str, seed: int, ops: int | None, system: Path | None) -> None:
-    """Print one round's seconds per op of each stage as JSON."""
-    sys.path.insert(0, src)
-    from treeterm import analysis, report, rewrite, syntax, typecheck
-
-    if workload == "reduce":
-        workloads = load_workloads()
-        systems = {}
-        for name in workloads.REDUCE_SYMBOLS:
-            parsed = syntax.parse_system(workloads.fixture_text(name))
-            systems[name] = (parsed, frozenset(s for s, _ in parsed.signature))
-        op_list = reduce_ops(seed, ops)
-
-        def stages(op):
-            return time_reduce(op, systems, syntax, rewrite)
-    else:
-        op_list = texts(workload, seed, ops, system)
-
-        def stages(text):
-            return time_stages(text, syntax, typecheck, analysis, report)
-    stages(op_list[0])
-    totals: dict[str, float] = {}
-    for op in op_list:
-        for stage, seconds in stages(op).items():
-            totals[stage] = totals.get(stage, 0.0) + seconds
-    print(json.dumps({stage: total / len(op_list) for stage, total in totals.items()}))
+def load_tree(src: Path, name: str):
+    """The `treeterm` package under `src` with its modules, imported as the
+    package `name` without writing bytecode, and then dropped from
+    sys.modules, so that the next load runs every module afresh."""
+    package_dir = src / "treeterm"
+    spec = importlib.util.spec_from_file_location(name, package_dir / "__init__.py",
+                                                  submodule_search_locations=[str(package_dir)])
+    tree = importlib.util.module_from_spec(spec)
+    wrote, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    sys.modules[name] = tree
+    try:
+        spec.loader.exec_module(tree)
+        importlib.import_module(f"{name}.report")  # the package does not import it
+    finally:
+        sys.dont_write_bytecode = wrote
+        for key in [key for key in sys.modules if key == name or key.startswith(name + ".")]:
+            del sys.modules[key]
+    return tree
 
 
-def run_child(src: Path, args: argparse.Namespace) -> dict[str, float]:
-    argv = [sys.executable, __file__, "--child", str(src), "--workload", args.workload,
-            "--seed", str(args.seed)]
-    argv += (["--ops", str(args.ops)] if args.ops else []) + (["--ring-800"] if args.ring_800 else [])
-    argv += ["--wide-self", str(args.wide_self)] if args.wide_self else []
-    argv += ["--system", str(args.system)] if args.system else []
-    done = subprocess.run(argv, capture_output=True, text=True,
-                          env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
-    if done.returncode != 0:
-        print(f"error: the child for {src} exited {done.returncode}\n{done.stderr.strip()}",
-              file=sys.stderr)
-        raise SystemExit(2)
-    return json.loads(done.stdout)
+def stage_timer(tree, workload: str):
+    """A function that times the stages of one op on the loaded `tree`."""
+    if workload != "reduce":
+        return lambda text: time_stages(text, tree.syntax, tree.typecheck, tree.analysis, tree.report)
+    workloads = load_workloads()
+    systems = {}
+    for name in workloads.REDUCE_SYMBOLS:
+        parsed = tree.syntax.parse_system(workloads.fixture_text(name))
+        systems[name] = (parsed, frozenset(s for s, _ in parsed.signature))
+    return lambda op: time_reduce(op, systems, tree.syntax, tree.rewrite)
 
 
 def row(stage: str, old: float | None, new: float | None, ratios: list[float]) -> str:
@@ -192,8 +182,8 @@ def row(stage: str, old: float | None, new: float | None, ratios: list[float]) -
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("old", nargs="?", type=Path, help="the old tree's src directory")
-    parser.add_argument("new", nargs="?", type=Path, help="the new tree's src directory")
+    parser.add_argument("old", type=Path, help="the old tree's src directory")
+    parser.add_argument("new", type=Path, help="the new tree's src directory")
     parser.add_argument("--workload", choices=("ring", "clique", "wide", "reduce"), default="ring")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--ops", type=int, help="time only the first OPS ops of the run order")
@@ -201,7 +191,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--wide-self", type=int, metavar="K", help="time wide-self-K alone")
     parser.add_argument("--system", type=Path, metavar="FILE", help="time the system in FILE alone")
     parser.add_argument("--rounds", type=int, default=6)
-    parser.add_argument("--child", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if sum(map(bool, (args.ring_800, args.wide_self, args.system))) > 1:
         parser.error("give at most one of --ring-800, --wide-self and --system")
@@ -213,31 +202,39 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--wide-self: expected a positive integer, got {args.wide_self}")
     workload = ("ring-800" if args.ring_800 else f"wide-self-{args.wide_self}" if args.wide_self
                 else args.workload)
-    if args.child:
-        child(args.child, workload, args.seed, args.ops, args.system)
-        return 0
-    if args.old is None or args.new is None:
-        parser.error("give the old and the new src directory")
-    trees = {"old": args.old.resolve(), "new": args.new.resolve()}
-    for src in trees.values():
+    srcs = {"old": args.old.resolve(), "new": args.new.resolve()}
+    for src in srcs.values():
         if not (src / "treeterm" / "syntax.py").is_file():
             parser.error(f"no treeterm package under {src}")
 
-    figures: dict[str, list[dict[str, float]]] = {"old": [], "new": []}
+    op_list = (reduce_ops(args.seed, args.ops) if workload == "reduce"
+               else texts(workload, args.seed, args.ops, args.system))
+    figures: dict[str, list[dict[str, float]]] = {side: [] for side in SIDES}
     for r in range(args.rounds):
-        for side in ("old", "new") if r % 2 == 0 else ("new", "old"):
-            figures[side].append(run_child(trees[side], args))
-    count = len(reduce_ops(args.seed, args.ops) if workload == "reduce"
-                else texts(workload, args.seed, args.ops, args.system))
+        # Fresh loads each round: loaded once per run, a tree timed against
+        # an identical copy of itself kept the same lead in every round
+        # (build_report read x1.07-1.15 in each round of one run); reloading
+        # turns that lead into spread, which the min and max columns show.
+        first = SIDES if r % 2 == 0 else SIDES[::-1]
+        timers = {side: stage_timer(load_tree(srcs[side], f"treeterm_{side}_{r}"), workload)
+                  for side in first}
+        for side, timer in timers.items():
+            timer(op_list[0])
+            figures[side].append({})
+        for i, op in enumerate(op_list):
+            for side in first if i % 2 == 0 else first[::-1]:
+                totals = figures[side][-1]
+                for stage, seconds in timers[side](op).items():
+                    totals[stage] = totals.get(stage, 0.0) + seconds
     title = ("ring_text(800)" if args.ring_800 else workload if args.wide_self
-             else args.system.name if args.system else f"{workload} seed {args.seed}, {count} ops")
+             else args.system.name if args.system else f"{workload} seed {args.seed}, {len(op_list)} ops")
     print(f"{title}, {args.rounds} rounds: median ms per op")
     print(f"{'stage':<18}{'old':>10}{'new':>10}{'new/old':>10}{'min':>10}{'max':>10}")
     for stage in REDUCE_STAGES if workload == "reduce" else STAGES:
         ratios = [new[stage] / old[stage] for old, new in zip(figures["old"], figures["new"])
                   if stage in old and stage in new]
-        print(row(stage, *(statistics.median(f[stage] for f in figures[side]) * 1e3
-                           if stage in figures[side][0] else None for side in ("old", "new")), ratios))
+        print(row(stage, *(statistics.median(f[stage] for f in figures[side]) / len(op_list) * 1e3
+                           if stage in figures[side][0] else None for side in SIDES), ratios))
     return 0
 
 
