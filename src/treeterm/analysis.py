@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import string
+from collections import Counter
 from collections.abc import Iterator, Sequence
 from itertools import chain
 
@@ -32,6 +33,8 @@ def _canonical_name(i: int) -> str:
 def _canonicalize(
     lhs_args: tuple[Pattern, ...], rhs_args: tuple[Pattern, ...]
 ) -> tuple[tuple[Pattern, ...], tuple[Pattern, ...]]:
+    """Both tuples with their variables renamed `a, b, ...` in first-occurrence
+    order, or the tuples themselves when they are named so already."""
     mapping: dict[str, Pattern] = {}
 
     def scan(p: Pattern) -> None:
@@ -44,6 +47,8 @@ def _canonicalize(
 
     for p in lhs_args + rhs_args:
         scan(p)
+    if all(name == var.name for name, var in mapping.items()):
+        return lhs_args, rhs_args
     return (
         tuple(pattern_subst(p, mapping) for p in lhs_args),
         tuple(pattern_subst(p, mapping) for p in rhs_args),
@@ -90,11 +95,12 @@ def pattern_unifiable(p: Pattern, q: Pattern) -> bool:
 # ---------------------------------------------------------------------------
 # Dependency graph
 
-class DependencyGraph(Record):
+class DependencyGraph(Record, derived=("components",)):
     """The pairs, and the sorted successors of every pair; `edges` is the
-    set of (i, j) pairs that `adjacency` lists, built when read."""
+    set of (i, j) pairs that `adjacency` lists, built when read, and
+    `components` the tuple of its SCCs, kept by the first `sccs` call."""
 
-    __slots__ = ("nodes", "adjacency")
+    __slots__ = ("nodes", "adjacency", "components")
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -135,11 +141,25 @@ def sccs(g: DependencyGraph) -> list[tuple[int, ...]]:
 
     Tarjan's algorithm with an explicit stack of (node, successor iterator)
     frames, so the depth of the graph is not bounded by Python's recursion.
+    A successor tuple held by several nodes is walked once, as one extra node
+    between its holders and its members: paths between pairs stay, and the
+    work is the nodes plus the distinct tuples' sizes.  The components are
+    kept in `g.components`; each call returns a new list.
     """
-    adjacency = g.adjacency
-    index_of = [-1] * len(g.nodes)
-    low = [0] * len(g.nodes)
-    on_stack = [False] * len(g.nodes)
+    if hasattr(g, "components"):
+        return list(g.components)
+    n = len(g.nodes)
+    holders = Counter(map(id, g.adjacency))
+    adjacency, hub = list(g.adjacency), {}
+    for v, succ in enumerate(g.adjacency):
+        if holders[id(succ)] > 1:
+            if id(succ) not in hub:
+                hub[id(succ)] = len(adjacency)
+                adjacency.append(succ)
+            adjacency[v] = (hub[id(succ)],)
+    index_of = [-1] * len(adjacency)
+    low = [0] * len(adjacency)
+    on_stack = [False] * len(adjacency)
     stack: list[int] = []
     frames: list[tuple[int, Iterator[int]]] = []
     counter = 0
@@ -153,7 +173,7 @@ def sccs(g: DependencyGraph) -> list[tuple[int, ...]]:
         on_stack[v] = True
         frames.append((v, iter(adjacency[v])))
 
-    for root in range(len(g.nodes)):
+    for root in range(n):
         if index_of[root] >= 0:
             continue
         visit(root)
@@ -163,8 +183,8 @@ def sccs(g: DependencyGraph) -> list[tuple[int, ...]]:
                 if index_of[w] < 0:
                     visit(w)
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index_of[w])
+                if on_stack[w] and index_of[w] < low[v]:
+                    low[v] = index_of[w]
             else:
                 frames.pop()
                 if frames:
@@ -175,11 +195,14 @@ def sccs(g: DependencyGraph) -> list[tuple[int, ...]]:
                     while True:
                         w = stack.pop()
                         on_stack[w] = False
-                        component.append(w)
+                        if w < n:
+                            component.append(w)
                         if w == v:
                             break
-                    out.append(tuple(sorted(component)))
-    return sorted(out, key=lambda c: c[0])
+                    if component:
+                        out.append(tuple(sorted(component)))
+    DependencyGraph.components.__set__(g, tuple(sorted(out, key=lambda c: c[0])))
+    return list(g.components)
 
 
 def is_nontrivial(scc: tuple[int, ...], g: DependencyGraph) -> bool:
@@ -238,7 +261,7 @@ def decrease(p: Pattern, q: Pattern) -> int:
                 work += (x.left, x.right)
             elif type(x) is PWild:
                 return NONE
-            elif x == q:
+            elif x is q or type(x) is type(q) is PVar and x.name == q.name:
                 found = True
         return STRICT if found else NONE
     if p == q:
