@@ -885,6 +885,28 @@ def reference_sccs(n: int, edges: frozenset[tuple[int, int]]) -> list[tuple[int,
     return sorted(components)
 
 
+def reference_extract_dps(vsys) -> tuple[DependencyPair, ...]:
+    """The dependency pairs of a validated system with the variables of
+    every pair renamed `a, b, ...` in first-occurrence order, whether or
+    not they are named so already; the first of equal pairs is kept."""
+    pairs: dict[DependencyPair, None] = {}
+    for vr in vsys.rules:
+        for ref, args in vr.call_sites:
+            names: dict[str, Pattern] = {}
+            work = list(reversed(vr.recursive_patterns + args))
+            while work:
+                p = work.pop()
+                if isinstance(p, PVar) and p.name not in names:
+                    i = len(names)
+                    names[p.name] = PVar("abcdefghijklmnopqrstuvwxyz"[i] if i < 26 else f"x{i}")
+                elif isinstance(p, PNode):
+                    work += (p.right, p.left)
+            lhs = tuple(pattern_subst(p, names) for p in vr.recursive_patterns)
+            rhs = tuple(pattern_subst(p, names) for p in args)
+            pairs.setdefault(DependencyPair(vr.rule.head, lhs, ref.name, rhs, rule_index=vr.index))
+    return tuple(pairs)
+
+
 def reference_edges(dps: tuple[DependencyPair, ...]) -> frozenset[tuple[int, int]]:
     """The dependency-graph edges by testing all pairs of pairs; a call's
     patterns past the next pair's recursive ones are not compared."""

@@ -1,6 +1,9 @@
 """Dependency pairs, the approximated call graph, and the decrease criterion."""
 from __future__ import annotations
 
+import importlib.util
+import sys
+
 import pytest
 
 from treeterm import analysis
@@ -8,6 +11,7 @@ from treeterm.analysis import (
     NONE,
     STRICT,
     WEAK,
+    DependencyGraph,
     DependencyPair,
     build_graph,
     check_criterion,
@@ -33,6 +37,7 @@ from helpers import (
     embeds_weak,
     graph_from_edges,
     reference_edges,
+    reference_extract_dps,
     reference_find_indices,
     ring_text,
     successors,
@@ -99,6 +104,58 @@ def test_canonical_renaming_ignores_source_names():
         "rule f[node(q,r)] (Node x y) -> f[q] x;\n"
     )
     assert extract_dps(vs1) == extract_dps(vs2)
+
+
+def same_objects(xs, ys) -> bool:
+    return len(xs) == len(ys) and all(x is y for x, y in zip(xs, ys))
+
+
+def test_canonical_rules_keep_their_own_patterns():
+    """A rule whose variables are already named `a, b, ...` in order of first
+    occurrence, as every ring and clique rule is, gives pairs holding its own
+    pattern objects; a rule named otherwise gives equal pairs of new ones."""
+    written = system(
+        "symbol f : forall a. B(a) -> B(leaf) recursive 1;\n"
+        "rule f[node(a,b)] (Node x y) -> f[a] x;\n"
+    )
+    renamed = system(
+        "symbol f : forall a. B(a) -> B(leaf) recursive 1;\n"
+        "rule f[node(b,a)] (Node x y) -> f[b] x;\n"
+    )
+    assert extract_dps(written) == extract_dps(renamed)
+    for vs, kept in ((written, True), (renamed, False), (system(ring_text(5)), True),
+                     (system(clique_text(4)), True)):
+        rules = {vr.index: vr for vr in vs.rules}
+        for dp in extract_dps(vs):
+            vr = rules[dp.rule_index]
+            assert same_objects(dp.lhs_args, vr.recursive_patterns) is kept
+            assert any(same_objects(dp.rhs_args, args) for _, args in vr.call_sites) is kept
+
+
+PERFBENCH = SYSTEMS.parent / "perfbench"
+
+
+def perfbench_texts(workload: str, monkeypatch) -> list[str]:
+    """The system texts of the seed-1 ops of a perfbench check workload."""
+    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look their module up here
+    spec.loader.exec_module(workloads)
+    return [op.text for op in workloads.build(workload, 1)[0]]
+
+
+@pytest.mark.parametrize("source", ["systems", "perfbench-ring", "perfbench-clique", "perfbench-wide"])
+def test_extract_dps_matches_the_full_renaming(source, monkeypatch):
+    """Keeping already-canonical patterns as written changes no pair, no
+    pair's order and no rule index."""
+    texts = ([path.read_text(encoding="utf-8") for path in sorted(SYSTEMS.glob("*.trs"))
+              if path.stem != "nonminimal"] if source == "systems"
+             else perfbench_texts(source.removeprefix("perfbench-"), monkeypatch))
+    for text in texts:
+        vs = system(text)
+        got, want = extract_dps(vs), reference_extract_dps(vs)
+        assert got == want
+        assert [dp.rule_index for dp in got] == [dp.rule_index for dp in want]
 
 
 def test_rule_index_does_not_affect_equality():
@@ -318,6 +375,32 @@ def test_sccs_on_deep_graphs_do_not_recurse(closed):
     edges = {(i, i + 1) for i in range(DEEP - 1)} | ({(DEEP - 1, 0)} if closed else set())
     comps = sccs(graph_from_edges(nodes, frozenset(edges)))
     assert comps == ([tuple(range(DEEP))] if closed else [(i,) for i in range(DEEP)])
+
+
+def test_scc_work_is_quadratic_in_the_clique_size():
+    # clique-n has n^2 pairs and n^3 edges, but `build_graph` hands every
+    # caller of fj the one tuple of fj's pairs, and `sccs` walks each of the
+    # n shared tuples once.  The successor entries it reads, counted on the
+    # iterators of the graph's tuples, grow as n^2: doubling n gives ×4,
+    # bounded at ×4.5, where reading every edge gives ×8.
+    reads = []
+
+    class Counted(tuple):
+        def __iter__(self):
+            for w in tuple.__iter__(self):
+                reads.append(w)
+                yield w
+
+    work = {}
+    for n in (10, 20):
+        g = build_graph(extract_dps(system(clique_text(n))))
+        counted = {id(succ): Counted(succ) for succ in g.adjacency}
+        reads.clear()
+        assert sccs(DependencyGraph(g.nodes, tuple(counted[id(s)] for s in g.adjacency))) == [
+            tuple(range(n * n))]
+        work[n] = len(reads)
+    assert work[10] > 0
+    assert work[20] <= 4.5 * work[10]
 
 
 # ---------------------------------------------------------------------------

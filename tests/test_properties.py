@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from treeterm.analysis import (
     STRICT,
     WEAK,
+    DependencyGraph,
     DependencyPair,
     build_graph,
     decrease,
@@ -535,6 +536,31 @@ def test_sccs_are_the_mutual_reachability_classes(graph):
     n, edges = graph
     nodes = (DependencyPair("f", (), "f", ()),) * n
     assert sccs(graph_from_edges(nodes, edges)) == reference_sccs(n, edges)
+
+
+@st.composite
+def shared_successor_graphs(draw, max_nodes: int = 12):
+    """A graph whose nodes hold their successors from a pool of a few tuple
+    objects, the empty tuple among them, so most tuples are shared, as
+    `build_graph` shares them; a node often holds a tuple with itself in it."""
+    n = draw(st.integers(0, max_nodes))
+    node = st.integers(0, max(n - 1, 0))
+    pool = [()] + [tuple(sorted(draw(st.sets(node, min_size=1, max_size=n))))
+                   for _ in range(draw(st.integers(0, 3)) if n else 0)]
+    adjacency = tuple(pool[draw(st.integers(0, len(pool) - 1))] for _ in range(n))
+    return DependencyGraph((DependencyPair("f", (), "f", ()),) * n, adjacency)
+
+
+@given(shared_successor_graphs())
+@settings(max_examples=300)
+def test_sccs_over_shared_successor_tuples(graph):
+    n = len(graph.nodes)
+    first = sccs(graph)
+    assert first == reference_sccs(n, graph.edges)
+    second = sccs(graph)
+    assert second == first and second is not first
+    fresh = graph_from_edges(graph.nodes, graph.edges)  # equal, built anew, nothing kept
+    assert fresh == graph and sccs(fresh) == first
 
 
 @given(rngs())

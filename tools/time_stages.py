@@ -31,7 +31,8 @@ op's stages are `scan`, the token scan that `parse_system` runs first,
 location is read, as for an error (the valid workload systems never run it
 inside `parse_system`), `parse_system` on the text, `validate_system` on
 the parsed system, the layers of the analysis on their own (`extract_dps`
-on the validated system, `build_graph` on its pairs, `sccs` on the graph
+on the validated system, `build_graph` on its pairs, `sccs` on a fresh
+copy of the graph, since a graph keeps its components from the first call,
 and `find_indices` on each nontrivial component), `check_criterion`, which
 runs all of the analysis again, on the validated system, and
 `build_report` and `report_to_json` on their results, all called as
@@ -114,7 +115,6 @@ def time_stages(text: str, syntax, typecheck, analysis, report) -> dict[str, flo
         raise SystemExit(f"error: a workload system is invalid: {validated[0]}")
     seconds["extract_dps"], dps = best(analysis.extract_dps, validated)
     seconds["build_graph"], graph = best(analysis.build_graph, dps)
-    # a fresh copy of the graph each call: a graph keeps its components
     seconds["sccs"], components = best(lambda: analysis.sccs(type(graph)(graph.nodes, graph.adjacency)))
     nontrivial = [scc for scc in components if analysis.is_nontrivial(scc, graph)]
     seconds["find_indices"], _ = best(lambda: [analysis.find_indices(scc, graph) for scc in nontrivial])
